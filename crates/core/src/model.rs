@@ -79,9 +79,11 @@ pub struct TrainingReport {
 /// Owning one of these across queries (see [`SubplanEstimator`]) makes
 /// [`FactorJoinModel::estimate_subplans_with`] allocation-free per
 /// sub-plan: joined factors live in a [`FactorArena`], joins run through a
-/// [`JoinScratch`], base-table profiles refill a reused [`TableProfile`],
-/// and the per-mask cache index keeps its table. Every buffer growth is
-/// counted, so tests can assert the steady state allocates nothing.
+/// [`JoinScratch`], base-table profiles refill a reused [`TableProfile`]
+/// (which also carries the single-table estimators' evidence and
+/// propagation buffers, so the models stay immutable), and the per-mask
+/// cache index keeps its table. Every buffer growth is counted, so tests
+/// can assert the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct EstimationScratch {
     join: JoinScratch,
@@ -101,7 +103,10 @@ impl EstimationScratch {
     /// largest query shape — the "zero per-sub-plan heap allocation"
     /// contract of the hot path.
     pub fn grow_events(&self) -> u64 {
-        self.grow_events + self.join.grow_events() + self.arena.grow_events()
+        self.grow_events
+            + self.join.grow_events()
+            + self.arena.grow_events()
+            + self.profile.grow_events()
     }
 
     fn note_mask_index_growth(&mut self) {
@@ -140,15 +145,35 @@ impl SubplanEstimator<'_> {
     }
 }
 
+/// One table's share of a trained model: everything estimation needs about
+/// an alias, found with a single lookup by table name.
+struct TableModel {
+    schema: TableSchema,
+    estimator: Box<dyn BaseTableEstimator>,
+    /// Offline statistics of each grouped join key, by schema column index.
+    key_stats: Vec<Option<KeyStats>>,
+}
+
+impl Clone for TableModel {
+    /// Deep copy; the boxed estimator clones through
+    /// [`BaseTableEstimator::clone_box`].
+    fn clone(&self) -> Self {
+        TableModel {
+            schema: self.schema.clone(),
+            estimator: self.estimator.clone_box(),
+            key_stats: self.key_stats.clone(),
+        }
+    }
+}
+
 /// A trained FactorJoin model.
+#[derive(Clone)]
 pub struct FactorJoinModel {
     config: FactorJoinConfig,
     group_of: HashMap<KeyRef, usize>,
     group_bins: Vec<KeyBinMap>,
-    key_stats: HashMap<KeyRef, KeyStats>,
     table_bins: HashMap<String, TableBins>,
-    estimators: HashMap<String, Box<dyn BaseTableEstimator>>,
-    schemas: HashMap<String, TableSchema>,
+    tables: HashMap<String, TableModel>,
     report: TrainingReport,
 }
 
@@ -228,16 +253,14 @@ impl FactorJoinModel {
         // Per-table bin sets, then one estimator fit per table (wave 3 —
         // the dominant cost: Chow-Liu trees and CPTs for BayesNet models).
         let table_bins = assemble_table_bins(catalog, &group_of, &group_bins);
-        let (estimators, schemas) = build_estimators(catalog, &table_bins, &config, &pool);
+        let tables = build_tables(catalog, &table_bins, key_stats, &config, &pool);
 
         let mut model = FactorJoinModel {
             config,
             group_of,
             group_bins,
-            key_stats,
             table_bins,
-            estimators,
-            schemas,
+            tables,
             report: TrainingReport {
                 train_seconds: 0.0,
                 model_bytes: 0,
@@ -273,12 +296,23 @@ impl FactorJoinModel {
 
     /// Per-key offline statistics.
     pub fn key_stats(&self, key: &KeyRef) -> Option<&KeyStats> {
-        self.key_stats.get(key)
+        let table = self.tables.get(&key.table)?;
+        let ci = table.schema.index_of(&key.column)?;
+        table.key_stats[ci].as_ref()
     }
 
     /// Iterates over all (key, statistics) pairs (used by persistence).
-    pub fn iter_key_stats(&self) -> impl Iterator<Item = (&KeyRef, &KeyStats)> {
-        self.key_stats.iter()
+    pub fn iter_key_stats(&self) -> impl Iterator<Item = (KeyRef, &KeyStats)> {
+        self.tables.iter().flat_map(|(name, table)| {
+            table
+                .key_stats
+                .iter()
+                .enumerate()
+                .filter_map(move |(ci, s)| {
+                    let s = s.as_ref()?;
+                    Some((KeyRef::new(name, &table.schema.column(ci).name), s))
+                })
+        })
     }
 
     /// Reassembles a model from persisted statistics, rebuilding the
@@ -294,17 +328,15 @@ impl FactorJoinModel {
         let start = Instant::now();
         let pool = WorkerPool::new(config.threads);
         let table_bins = assemble_table_bins(catalog, &group_of, &group_bins);
-        let (estimators, schemas) = build_estimators(catalog, &table_bins, &config, &pool);
+        let tables = build_tables(catalog, &table_bins, key_stats, &config, &pool);
         let num_groups = group_bins.len();
         let bins_per_group = group_bins.iter().map(KeyBinMap::k).collect();
         let mut model = FactorJoinModel {
             config,
             group_of,
             group_bins,
-            key_stats,
             table_bins,
-            estimators,
-            schemas,
+            tables,
             report: TrainingReport {
                 train_seconds: 0.0,
                 model_bytes: 0,
@@ -320,7 +352,7 @@ impl FactorJoinModel {
 
     /// The single-table estimator of `table` (for baselines and tests).
     pub fn estimator(&self, table: &str) -> Option<&dyn BaseTableEstimator> {
-        self.estimators.get(table).map(|b| b.as_ref())
+        self.tables.get(table).map(|t| t.estimator.as_ref())
     }
 
     /// The bin maps of `table`'s join keys.
@@ -330,10 +362,16 @@ impl FactorJoinModel {
 
     /// Deployable model size: estimators, bin maps, per-bin statistics.
     pub fn model_bytes(&self) -> usize {
-        let est: usize = self.estimators.values().map(|e| e.model_bytes()).sum();
+        let est_and_stats: usize = self
+            .tables
+            .values()
+            .map(|t| {
+                let stats: usize = t.key_stats.iter().flatten().map(KeyStats::heap_bytes).sum();
+                t.estimator.model_bytes() + stats
+            })
+            .sum();
         let bins: usize = self.group_bins.iter().map(KeyBinMap::heap_bytes).sum();
-        let stats: usize = self.key_stats.values().map(KeyStats::heap_bytes).sum();
-        est + bins + stats
+        est_and_stats + bins
     }
 
     /// Opens an estimation session over this model (owned scratch buffers;
@@ -355,15 +393,13 @@ impl FactorJoinModel {
         alias: usize,
         scratch: &mut EstimationScratch,
     ) -> f64 {
-        let tref = &query.tables()[alias];
-        let schema = &self.schemas[&tref.table];
-        let est = &self.estimators[&tref.table];
+        let table = &self.tables[&query.tables()[alias].table];
 
         // Distinct key columns of this alias, with their variables.
         let keys = graph.alias_keys(alias);
-        let name_refs: Vec<&str> = keys
+        let names: Vec<&str> = keys
             .iter()
-            .map(|&(c, _)| schema.column(c).name.as_str())
+            .map(|&(c, _)| table.schema.column(c).name.as_str())
             .collect();
         let EstimationScratch {
             join,
@@ -372,7 +408,9 @@ impl FactorJoinModel {
             ones,
             ..
         } = scratch;
-        est.profile_into(query.filter(alias), &name_refs, profile);
+        table
+            .estimator
+            .profile_into(query.filter(alias), &names, profile);
 
         // Group keys per var: a var may have several member columns within
         // this alias (e.g. movie_id and linked_movie_id equated); combine
@@ -386,8 +424,7 @@ impl FactorJoinModel {
         let mut prev_var = usize::MAX;
         for &(var, idx) in key_order.iter() {
             let dist: &[f64] = &profile.key_dists[idx];
-            let kr = KeyRef::new(&tref.table, name_refs[idx]);
-            let mfv: &[f64] = match self.key_stats.get(&kr) {
+            let mfv: &[f64] = match &table.key_stats[keys[idx].0] {
                 Some(s) => &s.bin_mfv,
                 None => {
                     if ones.len() < dist.len() {
@@ -430,7 +467,9 @@ impl FactorJoinModel {
         }
         let graph = QueryGraph::analyze(query);
         if n == 1 {
-            return self.estimators[&query.tables()[0].table].estimate_filter(query.filter(0));
+            return self.tables[&query.tables()[0].table]
+                .estimator
+                .estimate_filter(query.filter(0));
         }
         let mut scratch = EstimationScratch::default();
         let mut factors: Vec<Factor> = (0..n)
@@ -493,39 +532,57 @@ impl FactorJoinModel {
         query: &Query,
         min_size: u32,
     ) -> Vec<(SubplanMask, f64)> {
-        let n = query.num_tables();
         let graph = QueryGraph::analyze(query);
+        let mut masks = std::mem::take(&mut scratch.masks);
+        let cap = masks.capacity();
+        connected_subplans_into(query, 1, &mut masks);
+        if masks.capacity() != cap {
+            scratch.grow_events += 1;
+        }
+        let out = self.estimate_enumerated(scratch, query, &graph, &masks, min_size);
+        scratch.masks = masks;
+        out
+    }
+
+    /// [`Self::estimate_subplans_with`] over an analysis the caller already
+    /// holds — the service's cache path builds it once for fingerprints and
+    /// estimation alike. `graph` must be `QueryGraph::analyze(query)` and
+    /// `masks` every connected sub-plan, `connected_subplans(query, 1)`, in
+    /// that order (progressive estimation needs each sub-plan's smaller
+    /// predecessors first). Returns the estimates of the masks with at
+    /// least `min_size` aliases, in `masks` order.
+    pub fn estimate_enumerated(
+        &self,
+        scratch: &mut EstimationScratch,
+        query: &Query,
+        graph: &QueryGraph,
+        masks: &[SubplanMask],
+        min_size: u32,
+    ) -> Vec<(SubplanMask, f64)> {
+        let n = query.num_tables();
         scratch.arena.clear();
         scratch.mask_index.clear();
-        {
-            let cap = scratch.masks.capacity();
-            connected_subplans_into(query, 1, &mut scratch.masks);
-            if scratch.masks.capacity() != cap {
-                scratch.grow_events += 1;
-            }
-        }
         if scratch.base_ids.capacity() < n {
             scratch.grow_events += 1;
         }
         scratch.base_ids.clear();
         scratch.base_ids.resize(n, None);
-        let mut out = Vec::with_capacity(scratch.masks.len());
+        let mut out = Vec::with_capacity(masks.len());
 
-        for mi in 0..scratch.masks.len() {
-            let mask = scratch.masks[mi];
-            if mask.count_ones() == 1 {
+        for &mask in masks {
+            let rows = if mask.count_ones() == 1 {
                 // Base factors, including exact single-table row estimates.
                 let i = mask.trailing_zeros() as usize;
-                let rows = self.build_base_factor(query, &graph, i, scratch);
+                let rows = self.build_base_factor(query, graph, i, scratch);
                 let id = scratch.arena.push_scratch(rows, &scratch.join);
                 scratch.base_ids[i] = Some(id);
                 scratch.note_mask_index_growth();
                 scratch.mask_index.insert(mask, id);
-                out.push((mask, rows));
+                rows
             } else {
                 // Split off one alias whose removal keeps the rest cached.
                 let (rest, alias) = split_mask(mask, &scratch.mask_index);
-                let keep = keep_for_mask(&graph, mask);
+                let keep = keep_for_mask(graph, mask);
                 let EstimationScratch {
                     join,
                     arena,
@@ -538,10 +595,12 @@ impl FactorJoinModel {
                 let (id, rows) = arena.join(rest_id, base_id, &keep, join);
                 scratch.note_mask_index_growth();
                 scratch.mask_index.insert(mask, id);
+                rows
+            };
+            if mask.count_ones() >= min_size {
                 out.push((mask, rows));
             }
         }
-        out.retain(|(m, _)| m.count_ones() >= min_size);
         out
     }
 
@@ -556,28 +615,21 @@ impl FactorJoinModel {
     /// One table's worth of [`Self::insert`] without the model-size
     /// refresh (batched by [`Self::apply_insert`]).
     fn insert_inner(&mut self, table: &Table, first_new_row: usize) {
-        let name = table.name().to_string();
-        // Update key statistics for this table's join keys.
-        let keys: Vec<KeyRef> = self
-            .key_stats
-            .keys()
-            .filter(|kr| kr.table == name)
-            .cloned()
-            .collect();
-        for kr in keys {
-            let ci = table
-                .schema()
-                .index_of(&kr.column)
-                .expect("schema unchanged");
-            let gid = self.group_of[&kr];
-            // Adopt new values into the group map so the per-key stats and
-            // the estimator bins agree on fallback assignments.
-            let stats = self.key_stats.get_mut(&kr).expect("key exists");
-            stats.insert(table, ci, first_new_row, &mut self.group_bins[gid]);
+        let Some(model) = self.tables.get_mut(table.name()) else {
+            return;
+        };
+        // Update key statistics for this table's join keys (the schema is
+        // unchanged, so column indices still match).
+        for (ci, stats) in model.key_stats.iter_mut().enumerate() {
+            if let Some(stats) = stats {
+                let kr = KeyRef::new(table.name(), &model.schema.column(ci).name);
+                let gid = self.group_of[&kr];
+                // Adopt new values into the group map so the per-key stats
+                // and the estimator bins agree on fallback assignments.
+                stats.insert(table, ci, first_new_row, &mut self.group_bins[gid]);
+            }
         }
-        if let Some(est) = self.estimators.get_mut(&name) {
-            est.insert(table, first_new_row);
-        }
+        model.estimator.insert(table, first_new_row);
     }
 
     /// Applies a staged batch of inserts in `O(|delta|)` (paper §4.3): for
@@ -607,27 +659,6 @@ impl FactorJoinModel {
         let mut updated = self.clone();
         updated.apply_insert(catalog, delta);
         updated
-    }
-}
-
-impl Clone for FactorJoinModel {
-    /// Deep copy; the boxed single-table estimators clone through
-    /// [`BaseTableEstimator::clone_box`].
-    fn clone(&self) -> Self {
-        FactorJoinModel {
-            config: self.config.clone(),
-            group_of: self.group_of.clone(),
-            group_bins: self.group_bins.clone(),
-            key_stats: self.key_stats.clone(),
-            table_bins: self.table_bins.clone(),
-            estimators: self
-                .estimators
-                .iter()
-                .map(|(name, est)| (name.clone(), est.clone_box()))
-                .collect(),
-            schemas: self.schemas.clone(),
-            report: self.report.clone(),
-        }
     }
 }
 
@@ -760,31 +791,43 @@ fn assemble_table_bins(
 
 /// Fits one single-table estimator per catalog table across the pool —
 /// wave 3 of training, and the dominant cost for learned estimators
-/// (Chow-Liu structure search + CPT counting per table).
-#[allow(clippy::type_complexity)]
-fn build_estimators(
+/// (Chow-Liu structure search + CPT counting per table) — and files each
+/// key's statistics with its table.
+fn build_tables(
     catalog: &Catalog,
     table_bins: &HashMap<String, TableBins>,
+    mut key_stats: HashMap<KeyRef, KeyStats>,
     config: &FactorJoinConfig,
     pool: &WorkerPool,
-) -> (
-    HashMap<String, Box<dyn BaseTableEstimator>>,
-    HashMap<String, TableSchema>,
-) {
+) -> HashMap<String, TableModel> {
     let tables: Vec<&Table> = catalog.tables().collect();
-    let built: Vec<(String, Box<dyn BaseTableEstimator>)> = pool.run_indexed(tables.len(), |i| {
+    let estimators = pool.run_indexed(tables.len(), |i| {
         let table = tables[i];
-        let bins = &table_bins[table.name()];
-        (
-            table.name().to_string(),
-            build_estimator(&config.estimator, table, bins, config.seed),
+        build_estimator(
+            &config.estimator,
+            table,
+            &table_bins[table.name()],
+            config.seed,
         )
     });
-    let schemas = tables
-        .iter()
-        .map(|t| (t.name().to_string(), t.schema().clone()))
-        .collect();
-    (built.into_iter().collect(), schemas)
+    tables
+        .into_iter()
+        .zip(estimators)
+        .map(|(table, estimator)| {
+            let schema = table.schema().clone();
+            let key_stats = schema
+                .columns()
+                .iter()
+                .map(|def| key_stats.remove(&KeyRef::new(table.name(), &def.name)))
+                .collect();
+            let model = TableModel {
+                schema,
+                estimator,
+                key_stats,
+            };
+            (table.name().to_string(), model)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1118,27 +1161,59 @@ mod tests {
 
     /// The scratch-reuse contract: once warmed on a workload, re-running
     /// the same workload performs zero buffer growths — i.e. the per-mask
-    /// join path allocates nothing.
+    /// join path allocates nothing, and neither do BayesNet profiles
+    /// (evidence and propagation buffers live in the session's profile).
     #[test]
     fn warm_session_does_not_allocate() {
         let cat = tiny_catalog();
-        let model = FactorJoinModel::train(&cat, truescan_config(30));
         let wl = stats_ceb_workload(&cat, &WorkloadConfig::tiny(4));
-        let mut session = model.subplan_estimator();
-        for q in &wl {
-            session.estimate_subplans(q, 1);
-        }
-        let warm = session.grow_events();
-        for _ in 0..3 {
+        for config in [
+            truescan_config(30),
+            FactorJoinConfig {
+                estimator: BaseEstimatorKind::BayesNet(BnConfig::default()),
+                ..truescan_config(30)
+            },
+        ] {
+            let model = FactorJoinModel::train(&cat, config);
+            let mut session = model.subplan_estimator();
             for q in &wl {
                 session.estimate_subplans(q, 1);
             }
+            let warm = session.grow_events();
+            for _ in 0..3 {
+                for q in &wl {
+                    session.estimate_subplans(q, 1);
+                }
+            }
+            assert_eq!(
+                session.grow_events(),
+                warm,
+                "{}: estimation buffers grew on a warm session",
+                model.estimator("posts").unwrap().name()
+            );
         }
-        assert_eq!(
-            session.grow_events(),
-            warm,
-            "estimation buffers grew on a warm session"
-        );
+    }
+
+    /// Estimating over a caller-held analysis returns exactly what the
+    /// self-enumerating path returns, for every minimum sub-plan size.
+    #[test]
+    fn enumerated_estimates_match_subplans_with() {
+        let cat = tiny_catalog();
+        let model = FactorJoinModel::train(&cat, FactorJoinConfig::default());
+        let wl = stats_ceb_workload(&cat, &WorkloadConfig::tiny(3));
+        let mut scratch = EstimationScratch::default();
+        for q in &wl {
+            let graph = QueryGraph::analyze(q);
+            let masks = fj_query::connected_subplans(q, 1);
+            for min_size in 1..=3 {
+                let shared = model.estimate_enumerated(&mut scratch, q, &graph, &masks, min_size);
+                let own = model.estimate_subplans_with(&mut scratch, q, min_size);
+                let bits = |v: &[(SubplanMask, f64)]| -> Vec<(SubplanMask, u64)> {
+                    v.iter().map(|&(m, e)| (m, e.to_bits())).collect()
+                };
+                assert_eq!(bits(&shared), bits(&own));
+            }
+        }
     }
 
     /// The reusable-session path returns exactly what the allocate-per-call

@@ -25,7 +25,7 @@
 //! the binning, which is the part whose reproducibility matters (bin
 //! selection is the expensive, data-dependent step, and incremental
 //! updates must keep bins fixed, §4.3). All writes are crash-safe via
-//! [`write_atomic`]-style staging (same-dir temp + fsync + rename).
+//! `write_atomic`-style staging (same-dir temp + fsync + rename).
 
 pub mod binary;
 
@@ -285,11 +285,11 @@ impl SavedModel {
         let mut max_gid = 0usize;
         for (kr, stats) in model.iter_key_stats() {
             let gid = model
-                .group_of(kr)
+                .group_of(&kr)
                 .expect("stats exist only for grouped keys");
             max_gid = max_gid.max(gid);
-            group_of.insert(key_to_string(kr), gid);
-            key_stats.insert(key_to_string(kr), stats.clone());
+            group_of.insert(key_to_string(&kr), gid);
+            key_stats.insert(key_to_string(&kr), stats.clone());
         }
         let group_bins: Vec<KeyBinMap> =
             (0..=max_gid).map(|g| model.group_bins(g).clone()).collect();

@@ -7,6 +7,7 @@
 use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel, ModelDelta};
 use fj_datagen::{stats_catalog_split_by_date, stats_ceb_workload, StatsConfig, WorkloadConfig};
 use fj_exec::TrueCardEngine;
+use fj_query::{FilterExpr, Predicate};
 use fj_storage::Catalog;
 
 fn truescan(k: usize) -> FactorJoinConfig {
@@ -146,5 +147,67 @@ fn clone_is_deep() {
             ea <= eb,
             "inserts can only grow the TrueScan bound: {ea} vs {eb}"
         );
+    }
+}
+
+/// Stale-state guard for BayesNet priors, which are derived state
+/// refreshed with the CPTs on every insert. On an `updated_with` copy (and
+/// on the model it came from), a `TRUE`-filter profile — a copy of the
+/// priors — must match the profile under a filter that puts a tautology
+/// on every column. That filter gives every node evidence of weight 1, so
+/// propagation runs the full path from the roots down through the
+/// current CPTs; stale priors would disagree with it.
+#[test]
+fn updated_bayesnet_priors_match_full_propagation() {
+    let cfg = StatsConfig {
+        scale: 0.05,
+        ..Default::default()
+    };
+    let (mut catalog, inserts) = stats_catalog_split_by_date(&cfg, 1825);
+    let bayesnet = FactorJoinConfig {
+        threads: 1,
+        ..Default::default()
+    };
+    let stale = FactorJoinModel::train(&catalog, bayesnet);
+    let mut delta = ModelDelta::new();
+    for (tname, rows) in &inserts {
+        let first = catalog.table(tname).unwrap().nrows();
+        catalog.table_mut(tname).unwrap().append_rows(rows).unwrap();
+        delta.record(catalog.table(tname).unwrap(), first);
+    }
+    let updated = stale.updated_with(&catalog, &delta);
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+    for model in [&stale, &updated] {
+        for table in catalog.tables() {
+            let est = model.estimator(table.name()).unwrap();
+            let columns = table.schema().columns();
+            let keys: Vec<&str> = columns
+                .iter()
+                .filter(|d| d.join_key)
+                .map(|d| d.name.as_str())
+                .collect();
+            let tautology = FilterExpr::and(
+                columns
+                    .iter()
+                    .map(|d| {
+                        let is_null = |negated| {
+                            FilterExpr::pred(Predicate::IsNull {
+                                column: d.name.clone(),
+                                negated,
+                            })
+                        };
+                        FilterExpr::or(vec![is_null(false), is_null(true)])
+                    })
+                    .collect(),
+            );
+            let priors = est.profile(&FilterExpr::True, &keys);
+            let full = est.profile(&tautology, &keys);
+            assert!(close(priors.rows, full.rows), "{}: rows", table.name());
+            for ((p, f), key) in priors.key_dists.iter().zip(&full.key_dists).zip(&keys) {
+                for (b, (&x, &y)) in p.iter().zip(f).enumerate() {
+                    assert!(close(x, y), "{}.{key} bin {b}: {x} vs {y}", table.name());
+                }
+            }
+        }
     }
 }

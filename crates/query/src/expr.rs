@@ -90,6 +90,18 @@ impl FilterExpr {
         }
     }
 
+    /// Evaluates the filter with every predicate reading `v` — the
+    /// single-column case of [`Self::eval`], without cloning `v` per atom.
+    pub fn eval_on(&self, v: &Value) -> bool {
+        match self {
+            FilterExpr::True => true,
+            FilterExpr::Pred(p) => p.eval(v),
+            FilterExpr::And(parts) => parts.iter().all(|e| e.eval_on(v)),
+            FilterExpr::Or(parts) => parts.iter().any(|e| e.eval_on(v)),
+            FilterExpr::Not(inner) => !inner.eval_on(v),
+        }
+    }
+
     /// All column names referenced, deduplicated, in first-reference order.
     pub fn columns(&self) -> Vec<String> {
         let mut out = Vec::new();

@@ -207,9 +207,25 @@ fn rank_remap(bits: u64, mask: u64) -> u64 {
 /// fingerprints never become accidentally load-bearing across deployments.
 pub fn subplan_fingerprints(query: &Query, min_size: u32, seed: u64) -> Vec<(SubplanMask, u64)> {
     let graph = QueryGraph::analyze(query);
-    let n = query.num_tables();
     let mut masks = Vec::new();
     connected_subplans_into(query, min_size, &mut masks);
+    fingerprint_subplans(query, &graph, &masks, min_size, seed)
+}
+
+/// [`subplan_fingerprints`] over an analysis the caller already holds:
+/// `graph` is `QueryGraph::analyze(query)` and `masks` are connected
+/// sub-plans of `query` (e.g. all of them, `connected_subplans(query, 1)`).
+/// Fingerprints the masks with at least `min_size` aliases, in `masks`
+/// order — the order `FactorJoinModel::estimate_enumerated` returns its
+/// estimates for the same masks, so a service can zip the two.
+pub fn fingerprint_subplans(
+    query: &Query,
+    graph: &QueryGraph,
+    masks: &[SubplanMask],
+    min_size: u32,
+    seed: u64,
+) -> Vec<(SubplanMask, u64)> {
+    let n = query.num_tables();
 
     // Per-alias content that does not depend on the mask: table + filter.
     let alias_hash: Vec<u64> = (0..n)
@@ -232,8 +248,9 @@ pub fn subplan_fingerprints(query: &Query, min_size: u32, seed: u64) -> Vec<(Sub
 
     let mut vars_in_mask: Vec<usize> = Vec::new();
     masks
-        .into_iter()
-        .map(|mask| {
+        .iter()
+        .filter(|m| m.count_ones() >= min_size)
+        .map(|&mask| {
             // Distinct global variable ids appearing in the mask, sorted —
             // the rank map (id → position) is order-preserving.
             vars_in_mask.clear();

@@ -28,7 +28,7 @@ pub mod subplan;
 
 pub use compile::{compile_filter, filtered_count, filtered_selection, CompiledFilter};
 pub use expr::FilterExpr;
-pub use fingerprint::{subplan_fingerprints, StableHasher};
+pub use fingerprint::{fingerprint_subplans, subplan_fingerprints, StableHasher};
 pub use graph::{KeyVar, QueryGraph};
 pub use like::like_match;
 pub use parser::{parse_query, ParseError};

@@ -7,7 +7,7 @@ use crate::registry::{ModelHandle, ModelRegistry};
 use crate::request::{EstimateRequest, EstimateResponse, Reply, ServiceError};
 use crate::stats::StatsInner;
 use factorjoin::EstimationScratch;
-use fj_query::{subplan_fingerprints, SubplanMask};
+use fj_query::{connected_subplans_into, fingerprint_subplans, QueryGraph, SubplanMask};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -76,6 +76,7 @@ fn worker_loop(
     cache: Option<&SubplanCache>,
 ) {
     let mut scratch = EstimationScratch::default();
+    let mut masks: Vec<SubplanMask> = Vec::new();
     while let Some(job) = queue.pop() {
         let picked_up = Instant::now();
         // Shed already-expired work before touching the model: the caller
@@ -102,7 +103,14 @@ fn worker_loop(
                 // rebuilt. AssertUnwindSafe is sound because nothing else
                 // aliases the scratch and the model is read-only.
                 let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    estimate_through_cache(&handle, &mut scratch, &job.request, stats, cache)
+                    estimate_through_cache(
+                        &handle,
+                        &mut scratch,
+                        &mut masks,
+                        &job.request,
+                        stats,
+                        cache,
+                    )
                 }));
                 match attempt {
                     Ok(estimates) => {
@@ -146,10 +154,12 @@ fn worker_loop(
 /// unchanged) and every `(mask, estimate)` pair is inserted, so the next
 /// repeat hits.
 ///
+/// The query is analyzed and its sub-plans enumerated once, into `masks`;
+/// fingerprints and, on a miss, estimates are both computed over that one
+/// mask list, so they pair up by construction.
+///
 /// Correctness hinges on two facts proven elsewhere:
-/// * `subplan_fingerprints` enumerates masks in exactly the order
-///   `estimate_subplans_with` returns them (asserted in debug builds),
-///   and equal fingerprints imply bit-identical estimates — so a hit
+/// * equal fingerprints imply bit-identical estimates — so a hit
 ///   reproduces the miss exactly (`f64::to_bits` round-trip, no
 ///   arithmetic).
 /// * Registry epochs are globally unique and monotonic, so keying on
@@ -159,16 +169,20 @@ fn worker_loop(
 fn estimate_through_cache(
     handle: &ModelHandle,
     scratch: &mut EstimationScratch,
+    masks: &mut Vec<SubplanMask>,
     request: &EstimateRequest,
     stats: &StatsInner,
     cache: Option<&SubplanCache>,
 ) -> Vec<(SubplanMask, f64)> {
+    let (query, min_size) = (&request.query, request.min_size);
     let Some(cache) = cache else {
         return handle
             .model
-            .estimate_subplans_with(scratch, &request.query, request.min_size);
+            .estimate_subplans_with(scratch, query, min_size);
     };
-    let fps = subplan_fingerprints(&request.query, request.min_size, FINGERPRINT_SEED);
+    let graph = QueryGraph::analyze(query);
+    connected_subplans_into(query, 1, masks);
+    let fps = fingerprint_subplans(query, &graph, masks, min_size, FINGERPRINT_SEED);
     let mut cached = Vec::with_capacity(fps.len());
     for &(mask, fp) in &fps {
         match cache.get(handle.epoch, mask, fp) {
@@ -185,16 +199,10 @@ fn estimate_through_cache(
     }
     let estimates = handle
         .model
-        .estimate_subplans_with(scratch, &request.query, request.min_size);
-    debug_assert_eq!(
-        estimates.len(),
-        fps.len(),
-        "fingerprint enumeration must mirror estimate_subplans_with"
-    );
+        .estimate_enumerated(scratch, query, &graph, masks, min_size);
     let mut evictions = 0usize;
-    for ((mask, estimate), &(fp_mask, fp)) in estimates.iter().zip(&fps) {
-        debug_assert_eq!(*mask, fp_mask, "sub-plan order must match");
-        if cache.insert(handle.epoch, fp_mask, fp, estimate.to_bits()) {
+    for (&(_, estimate), &(mask, fp)) in estimates.iter().zip(&fps) {
+        if cache.insert(handle.epoch, mask, fp, estimate.to_bits()) {
             evictions += 1;
         }
     }

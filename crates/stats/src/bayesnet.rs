@@ -3,22 +3,29 @@
 //! Build phase (paper §5.1): discretize every modeled column (join keys at
 //! bin granularity, attributes into ≤ `max_codes` codes, NULL as a code),
 //! learn a Chow-Liu tree from pairwise mutual information, and store CPTs
-//! as smoothed counts. Query phase: a filter becomes per-node *evidence
-//! weights* (fraction of each code satisfying the clause) and exact
-//! two-pass belief propagation yields, in one sweep, the evidence
-//! probability (filter selectivity) and every node's conditional marginal
-//! — in particular `P(key bin | filter)`, which is exactly what the factor
-//! graph needs.
+//! as smoothed counts, plus each node's unconditional marginal (its
+//! *prior*). Query phase: a filter becomes per-node *evidence weights*
+//! (fraction of each code satisfying the clause) and exact belief
+//! propagation yields the evidence probability (filter selectivity) and
+//! the conditional marginal of every requested node — in particular
+//! `P(key bin | filter)`, which is exactly what the factor graph needs.
+//!
+//! Propagation touches only the part of the forest the query needs. Per
+//! tree, let `top` be the lowest common ancestor of the evidence nodes and
+//! the targets. Everything the evidence says about `top` arrives from
+//! below, so the upward (λ) pass runs only inside `top`'s subtree, and any
+//! node whose subtree holds all of its tree's evidence has belief
+//! `prior ⊙ λ` directly. The downward pass steps only into target-path
+//! nodes with evidence outside their own subtree; a `TRUE`-filter profile
+//! is a copy of the priors.
 
 use crate::binmap::TableBins;
 use crate::chowliu::chow_liu_tree_threads;
 use crate::discretize::{DiscreteColumn, Discretizer};
-use crate::evidence::split_per_column;
+use crate::evidence::{is_per_column, visit_clauses, ColumnClauses};
 use crate::traits::{BaseTableEstimator, TableProfile};
 use fj_query::FilterExpr;
 use fj_storage::Table;
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Bayesian-network build configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +62,8 @@ impl Default for BnConfig {
 
 /// Dense dot product with four independent accumulators, so the reduction
 /// carries no loop-carried dependency and autovectorizes. Used by the
-/// downward belief-propagation pass, whose rows are `max_codes`-wide.
+/// downward belief-propagation pass and the prior computation, whose rows
+/// are `max_codes`-wide.
 #[inline]
 fn dot_chunked(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
@@ -78,34 +86,106 @@ fn dot_chunked(a: &[f64], b: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
-/// Reusable belief-propagation buffers. Sizes track the network shape, so
-/// after the first query on a table no per-propagation allocation remains.
-#[derive(Debug, Default)]
-struct PropScratch {
-    /// Upward messages `λ` per node (filled only where evidence exists).
-    lambda: Vec<Vec<f64>>,
-    /// Message to parent per node (filled only where evidence exists).
-    msg: Vec<Vec<f64>>,
-    /// Beliefs per node (filled only for requested targets + ancestors).
-    belief: Vec<Vec<f64>>,
-    /// π of the parent with the child's message divided out.
-    pi_ex: Vec<f64>,
-    /// Whether node i's subtree carries evidence.
-    has_ev: Vec<bool>,
-    /// Whether node i's belief is needed (target or ancestor of one).
-    need_belief: Vec<bool>,
-    /// Connected-component id per node.
-    comp_of: Vec<usize>,
-    /// Evidence probability per component.
-    comp_p: Vec<f64>,
+/// Per-node flag bits of [`PropScratch::flags`].
+const EV: u8 = 1; // the filter puts evidence on the node
+const TARGET: u8 = 2; // a requested key column
+const UP: u8 = 4; // λ computed (evidence below, inside `top`'s subtree)
+const NEED: u8 = 8; // belief computed
+/// "No node" in the per-node index buffers.
+const NONE: usize = usize::MAX;
+
+/// Evidence and belief-propagation buffers of one caller, owned by its
+/// [`TableProfile`]. Per-code buffers are flat, laid out by the profiled
+/// network's offsets; every buffer is sized to the largest network seen,
+/// so a worker that profiles many tables stops growing once it has met
+/// each. Validity is tracked by the per-node flags, so nothing is cleared
+/// between profiles but the flags and counters.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PropScratch {
+    /// Evidence weights per code (valid where `EV` is set).
+    ev: Vec<f64>,
+    /// Upward λ per code (valid where `UP` is set).
+    lambda: Vec<f64>,
+    /// Message of each `UP` node below `top` to its parent.
+    msg: Vec<f64>,
+    /// `P(node = c, evidence)` per code (valid where `NEED` is set).
+    belief: Vec<f64>,
+    /// One node's worth of temporary weights (π with a child's message
+    /// divided out; a second clause group's evidence).
+    tmp: Vec<f64>,
+    /// `EV | TARGET | UP | NEED` bits per node.
+    flags: Vec<u8>,
+    /// Evidence nodes in each node's subtree.
+    ev_below: Vec<u32>,
+    /// Evidence-or-target nodes in each node's subtree.
+    marked_below: Vec<u32>,
+    /// Per tree, by root: the lowest common ancestor of its evidence and
+    /// targets (`NONE` for an unmarked tree).
+    top: Vec<usize>,
+    /// Per tree, by root: the evidence probability of that tree's evidence.
+    tree_p: Vec<f64>,
+    /// Node of each requested key column (`NONE` when unmodeled).
+    key_node: Vec<usize>,
+    /// Buffer growth events (see [`TableProfile::grow_events`]).
+    pub(crate) grow_events: u64,
 }
 
-/// A Bayesian-network estimator bound to one table.
+/// Grows `v` to at least `n` entries, counting each reallocation.
+fn ensure<T: Clone>(v: &mut Vec<T>, n: usize, fill: T, grow_events: &mut u64) {
+    if v.len() < n {
+        if v.capacity() < n {
+            *grow_events += 1;
+        }
+        v.resize(n, fill);
+    }
+}
+
+impl PropScratch {
+    /// Sizes the buffers for `bn` and clears the per-node state.
+    fn begin(&mut self, bn: &BayesNetEstimator, keys: usize) {
+        let m = bn.cols.len();
+        let codes = bn.off[m];
+        let g = &mut self.grow_events;
+        ensure(&mut self.ev, codes, 0.0, g);
+        ensure(&mut self.lambda, codes, 0.0, g);
+        ensure(&mut self.belief, codes, 0.0, g);
+        ensure(&mut self.msg, bn.msg_off[m], 0.0, g);
+        ensure(&mut self.tmp, bn.max_k, 0.0, g);
+        ensure(&mut self.flags, m, 0, g);
+        ensure(&mut self.ev_below, m, 0, g);
+        ensure(&mut self.marked_below, m, 0, g);
+        ensure(&mut self.top, m, NONE, g);
+        ensure(&mut self.tree_p, m, 1.0, g);
+        if self.key_node.capacity() < keys {
+            *g += 1;
+        }
+        self.key_node.clear();
+        self.flags[..m].fill(0);
+    }
+}
+
+/// A Bayesian-network estimator bound to one table. Immutable once built
+/// (apart from [`BaseTableEstimator::insert`]), so one estimator serves any
+/// number of concurrent callers, each with its own [`TableProfile`].
+#[derive(Clone)]
 pub struct BayesNetEstimator {
     cols: Vec<DiscreteColumn>,
-    col_index: HashMap<String, usize>,
+    /// Node ids sorted by column name (see [`Self::node`]).
+    by_name: Vec<usize>,
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,
+    /// Root of each node's tree.
+    root_of: Vec<usize>,
+    /// Roots, in topological order.
+    roots: Vec<usize>,
+    /// Node i's codes occupy `off[i]..off[i + 1]` of the flat per-code
+    /// buffers (priors and scratch).
+    off: Vec<usize>,
+    /// Non-root node i's message to its parent occupies
+    /// `msg_off[i]..msg_off[i + 1]` of the flat message buffer.
+    msg_off: Vec<usize>,
+    /// Largest code count of any node.
+    max_k: usize,
     /// Marginal counts per node (unsmoothed).
     marginal: Vec<Vec<f64>>,
     /// For non-root node i: joint counts `[code_i * k_parent + code_parent]`.
@@ -117,68 +197,22 @@ pub struct BayesNetEstimator {
     /// `[c * k_parent + p]` — precomputed at build/insert time so belief
     /// propagation multiplies instead of re-deriving each cell.
     cpt_flat: Vec<Vec<f64>>,
-    /// For root node i: the smoothed marginal `P(c)`.
-    root_dist: Vec<Vec<f64>>,
-    /// Topological order, parents before children.
+    /// Every node's unconditional marginal `P(node = c)`, flat at `off`:
+    /// the smoothed root marginals pushed down the CPTs. Derived state —
+    /// refreshed with the CPTs on build and every insert, never persisted.
+    prior: Vec<f64>,
+    /// Topological order, parents before children (breadth-first, so
+    /// depth never decreases along it).
     topo: Vec<usize>,
     nrows: f64,
     cfg: BnConfig,
-    /// Propagation buffers, reused across queries. Concurrent queries on
-    /// the same table fall back to fresh local buffers (`try_lock`), so
-    /// the estimator stays `Sync` without serializing readers.
-    scratch: Mutex<PropScratch>,
-}
-
-impl Clone for BayesNetEstimator {
-    /// Deep copy of the trained network. The propagation scratch is
-    /// per-instance transient state (buffers sized lazily on first query),
-    /// so the clone starts with a fresh empty one.
-    fn clone(&self) -> Self {
-        BayesNetEstimator {
-            cols: self.cols.clone(),
-            col_index: self.col_index.clone(),
-            parent: self.parent.clone(),
-            children: self.children.clone(),
-            marginal: self.marginal.clone(),
-            joint: self.joint.clone(),
-            joint_parent_total: self.joint_parent_total.clone(),
-            cpt_flat: self.cpt_flat.clone(),
-            root_dist: self.root_dist.clone(),
-            topo: self.topo.clone(),
-            nrows: self.nrows,
-            cfg: self.cfg,
-            scratch: Mutex::new(PropScratch::default()),
-        }
-    }
 }
 
 impl BayesNetEstimator {
     /// Builds the network over the modeled columns of `table`.
     pub fn build(table: &Table, bins: &TableBins, cfg: BnConfig) -> Self {
-        let disc = Discretizer {
-            max_codes: cfg.max_codes,
-        };
-        let mut cols = Vec::new();
-        let mut src_cols = Vec::new();
-        for (ci, def) in table.schema().columns().iter().enumerate() {
-            if let Some(dc) = disc.build(table, ci, bins.get_shared(&def.name)) {
-                cols.push(dc);
-                src_cols.push(ci);
-            }
-        }
-        let m = cols.len();
+        let (cols, codes) = Self::discretize(table, bins, cfg);
         let n = table.nrows();
-
-        // Encode all rows, column-major.
-        let codes: Vec<Vec<u32>> = cols
-            .iter()
-            .zip(&src_cols)
-            .map(|(dc, &ci)| {
-                let col = table.column(ci);
-                (0..n).map(|r| dc.encode_row(col, r) as u32).collect()
-            })
-            .collect();
-
         // Structure learning on a strided sample.
         let stride = (n / cfg.mi_sample_rows.max(1)).max(1);
         let sampled: Vec<Vec<u32>> = codes
@@ -187,7 +221,40 @@ impl BayesNetEstimator {
             .collect();
         let domains: Vec<usize> = cols.iter().map(DiscreteColumn::n_codes).collect();
         let parent = chow_liu_tree_threads(&sampled, &domains, cfg.threads);
+        Self::fit(cols, &codes, parent, n, cfg)
+    }
 
+    /// The modeled columns of `table` and every row's code, column-major.
+    fn discretize(
+        table: &Table,
+        bins: &TableBins,
+        cfg: BnConfig,
+    ) -> (Vec<DiscreteColumn>, Vec<Vec<u32>>) {
+        let disc = Discretizer {
+            max_codes: cfg.max_codes,
+        };
+        let cols: Vec<DiscreteColumn> = table
+            .schema()
+            .columns()
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, def)| disc.build(table, ci, bins.get_shared(&def.name)))
+            .collect();
+        let codes = encode_rows(&cols, table, 0);
+        (cols, codes)
+    }
+
+    /// Counts the network of structure `parent` over `codes` (column-major,
+    /// `nrows` rows) and derives its CPTs and priors.
+    fn fit(
+        cols: Vec<DiscreteColumn>,
+        codes: &[Vec<u32>],
+        parent: Vec<Option<usize>>,
+        nrows: usize,
+        cfg: BnConfig,
+    ) -> Self {
+        let m = cols.len();
+        let domains: Vec<usize> = cols.iter().map(DiscreteColumn::n_codes).collect();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); m];
         for (i, p) in parent.iter().enumerate() {
             if let Some(p) = p {
@@ -202,6 +269,17 @@ impl BayesNetEstimator {
             topo.push(v);
             queue.extend(children[v].iter().copied());
         }
+        let mut root_of = vec![0; m];
+        for &i in &topo {
+            root_of[i] = parent[i].map_or(i, |p| root_of[p]);
+        }
+        let roots = topo
+            .iter()
+            .copied()
+            .filter(|&i| parent[i].is_none())
+            .collect();
+        let off = offsets(domains.iter().copied());
+        let msg_off = offsets(parent.iter().map(|p| p.map_or(0, |p| domains[p])));
 
         // Count marginals and child-parent joints over all rows.
         let mut marginal: Vec<Vec<f64>> = domains.iter().map(|&k| vec![0.0; k]).collect();
@@ -210,7 +288,7 @@ impl BayesNetEstimator {
             .enumerate()
             .map(|(i, p)| p.map(|p| vec![0.0; domains[i] * domains[p]]))
             .collect();
-        for r in 0..n {
+        for r in 0..nrows {
             for i in 0..m {
                 let c = codes[i][r] as usize;
                 marginal[i][c] += 1.0;
@@ -220,25 +298,26 @@ impl BayesNetEstimator {
             }
         }
 
-        let col_index = cols
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), i))
-            .collect();
+        let mut by_name: Vec<usize> = (0..m).collect();
+        by_name.sort_by(|&a, &b| cols[a].name.cmp(&cols[b].name));
         let mut bn = BayesNetEstimator {
             cols,
-            col_index,
+            by_name,
             parent,
             children,
+            root_of,
+            roots,
+            off,
+            msg_off,
+            max_k: domains.iter().copied().max().unwrap_or(0),
             marginal,
             joint,
             joint_parent_total: Vec::new(),
             cpt_flat: Vec::new(),
-            root_dist: Vec::new(),
+            prior: Vec::new(),
             topo,
-            nrows: n as f64,
+            nrows: nrows as f64,
             cfg,
-            scratch: Mutex::new(PropScratch::default()),
         };
         bn.recompute_parent_totals();
         bn.recompute_cpts();
@@ -266,28 +345,51 @@ impl BayesNetEstimator {
             .collect();
     }
 
-    /// Refreshes the precomputed smoothed CPTs / root marginals from the
-    /// current counts (after build and after each `insert` batch).
+    /// Refreshes the derived state — smoothed CPTs and priors — from the
+    /// current counts (after build and after each `insert` batch). Priors
+    /// cost `O(Σ k_child · k_parent)`, the same order as the CPTs.
     fn recompute_cpts(&mut self) {
         let m = self.cols.len();
+        let alpha = self.cfg.alpha;
+        // Smoothed CPT `P(c | p) = (joint[c][p] + α) / (total[p] + α·k_c)`.
         self.cpt_flat = (0..m)
-            .map(|i| match self.parent[i] {
-                None => Vec::new(),
-                Some(_) => {
-                    let kp = self.k(self.parent[i].expect("non-root"));
-                    let kc = self.k(i);
-                    (0..kc * kp)
-                        .map(|idx| self.cpt(i, idx / kp, idx % kp))
+            .map(|i| match (&self.joint[i], &self.joint_parent_total[i]) {
+                (Some(joint), Some(totals)) => {
+                    let spread = alpha * self.k(i) as f64;
+                    let denom: Vec<f64> = totals.iter().map(|&t| t + spread).collect();
+                    joint
+                        .chunks_exact(denom.len())
+                        .flat_map(|row| row.iter().zip(&denom).map(|(&j, &d)| (j + alpha) / d))
                         .collect()
                 }
+                _ => Vec::new(),
             })
             .collect();
-        self.root_dist = (0..m)
-            .map(|i| match self.parent[i] {
-                Some(_) => Vec::new(),
-                None => (0..self.k(i)).map(|c| self.root_prob(i, c)).collect(),
-            })
-            .collect();
+        // Parents precede children in `topo`, so each parent's prior is
+        // final before its children read it.
+        let mut prior = vec![0.0; self.off[m]];
+        for &i in &self.topo {
+            let at = self.off[i];
+            match self.parent[i] {
+                None => {
+                    for c in 0..self.k(i) {
+                        prior[at + c] = self.root_prob(i, c);
+                    }
+                }
+                Some(p) => {
+                    let kp = self.k(p);
+                    let cpt = &self.cpt_flat[i];
+                    for c in 0..self.k(i) {
+                        let v = dot_chunked(
+                            &prior[self.off[p]..self.off[p + 1]],
+                            &cpt[c * kp..(c + 1) * kp],
+                        );
+                        prior[at + c] = v;
+                    }
+                }
+            }
+        }
+        self.prior = prior;
     }
 
     /// Number of network nodes.
@@ -304,15 +406,12 @@ impl BayesNetEstimator {
         self.cols[i].n_codes()
     }
 
-    /// Smoothed CPT entry `P(node_i = c | parent = p)`.
-    fn cpt(&self, i: usize, c: usize, p: usize) -> f64 {
-        let kp = self.k(self.parent[i].expect("cpt only for non-roots"));
-        let kc = self.k(i);
-        let j = self.joint[i].as_ref().expect("non-root has joint counts");
-        let parent_total = self.joint_parent_total[i]
-            .as_ref()
-            .expect("cached totals for non-roots")[p];
-        (j[c * kp + p] + self.cfg.alpha) / (parent_total + self.cfg.alpha * kc as f64)
+    /// The node modeling column `name`.
+    fn node(&self, name: &str) -> Option<usize> {
+        self.by_name
+            .binary_search_by(|&i| self.cols[i].name.as_str().cmp(name))
+            .ok()
+            .map(|at| self.by_name[at])
     }
 
     /// Smoothed root marginal `P(node_i = c)`.
@@ -320,32 +419,429 @@ impl BayesNetEstimator {
         (self.marginal[i][c] + self.cfg.alpha) / (self.nrows + self.cfg.alpha * self.k(i) as f64)
     }
 
-    /// Converts a filter into per-node evidence weights plus a fallback
-    /// multiplier for non-decomposable / unmodeled parts.
-    fn evidence(&self, filter: &FilterExpr) -> (Vec<Option<Vec<f64>>>, f64) {
-        let mut ev: Vec<Option<Vec<f64>>> = vec![None; self.cols.len()];
+    /// Writes the evidence of `filter` into `s` (weights at `off`, `EV`
+    /// flags) and returns the fallback multiplier for what the network
+    /// cannot express: `fallback_selectivity` per unmodeled column, and per
+    /// conjunct that is not per-column (a cross-column disjunction).
+    fn evidence_into(&self, filter: &FilterExpr, s: &mut PropScratch) -> f64 {
+        let sel = self.cfg.fallback_selectivity;
+        if is_per_column(filter) {
+            let fallback = self.unmodeled_fallback(filter);
+            self.add_evidence(filter, s);
+            return fallback;
+        }
+        // Decompose what we can from the top-level conjunction and charge
+        // the constant for the rest: a conjunct contributes evidence only
+        // when it is per-column and costs no fallback of its own.
+        let FilterExpr::And(parts) = filter else {
+            return sel;
+        };
+        let mut fallback = 1.0;
+        for part in parts {
+            if is_per_column(part) && self.unmodeled_fallback(part) == 1.0 {
+                self.add_evidence(part, s);
+            } else {
+                fallback *= sel;
+            }
+        }
+        fallback
+    }
+
+    /// `fallback_selectivity` per distinct column of the per-column
+    /// `filter` that the network does not model.
+    fn unmodeled_fallback(&self, filter: &FilterExpr) -> f64 {
+        let mut fallback = 1.0;
+        visit_clauses(filter, &mut |col, clause| {
+            if self.node(col).is_none() && starts_group(filter, col, clause) {
+                fallback *= self.cfg.fallback_selectivity;
+            }
+        });
+        fallback
+    }
+
+    /// Multiplies the evidence of each modeled column of the per-column
+    /// `filter` (the AND of its clauses on that column) into `s`.
+    fn add_evidence(&self, filter: &FilterExpr, s: &mut PropScratch) {
+        visit_clauses(filter, &mut |col, clause| {
+            let Some(i) = self.node(col) else {
+                return;
+            };
+            if !starts_group(filter, col, clause) {
+                return;
+            }
+            let group = ColumnClauses::Of {
+                filter,
+                column: col,
+            };
+            let w = &mut s.ev[self.off[i]..self.off[i + 1]];
+            if s.flags[i] & EV == 0 {
+                self.cols[i].weights_into(group, w);
+                s.flags[i] |= EV;
+            } else {
+                let more = &mut s.tmp[..w.len()];
+                self.cols[i].weights_into(group, more);
+                for (a, b) in w.iter_mut().zip(more.iter()) {
+                    *a *= b;
+                }
+            }
+        });
+    }
+
+    /// Exact belief propagation, pruned to what the flagged evidence and
+    /// targets need (see the module docs).
+    ///
+    /// Reads the `EV` weights and `TARGET` flags of `s`, writes
+    /// `belief[t][c] = P(node_t = c, evidence)` for every target and
+    /// returns the evidence probability.
+    fn propagate(&self, s: &mut PropScratch) -> f64 {
+        let m = self.cols.len();
+        // Evidence and targets per subtree (children precede parents in
+        // reverse topological order).
+        for i in 0..m {
+            s.ev_below[i] = u32::from(s.flags[i] & EV != 0);
+            s.marked_below[i] = u32::from(s.flags[i] & (EV | TARGET) != 0);
+        }
+        for &i in self.topo.iter().rev() {
+            if let Some(p) = self.parent[i] {
+                s.ev_below[p] += s.ev_below[i];
+                s.marked_below[p] += s.marked_below[i];
+            }
+        }
+        // Per tree, `top` is the deepest node whose subtree holds all of the
+        // tree's marks: depth never increases along reverse topological
+        // order, so it is the first such node met.
+        s.top[..m].fill(NONE);
+        s.tree_p[..m].fill(1.0);
+        for &i in self.topo.iter().rev() {
+            let r = self.root_of[i];
+            if s.top[r] == NONE && s.marked_below[r] > 0 && s.marked_below[i] == s.marked_below[r] {
+                s.top[r] = i;
+            }
+        }
+
+        // Upward, inside each `top`'s subtree, only through nodes with
+        // evidence below (an evidence-free subtree sends the exactly-unit
+        // message, the CPT being normalized): λ_i(c) = w_i(c) ·
+        // Π_child msg_child(c); msg_i(p) = Σ_c P(c|p) λ_i(c). Nodes above
+        // `top` hold all marks in their subtree too, so they are skipped.
+        for &i in self.topo.iter().rev() {
+            let r = self.root_of[i];
+            let is_top = s.top[r] == i;
+            if s.ev_below[i] == 0 || !(is_top || s.marked_below[i] < s.marked_below[r]) {
+                continue;
+            }
+            s.flags[i] |= UP;
+            let (lo, hi) = (self.off[i], self.off[i + 1]);
+            if s.flags[i] & EV != 0 {
+                s.lambda[lo..hi].copy_from_slice(&s.ev[lo..hi]);
+            } else {
+                s.lambda[lo..hi].fill(1.0);
+            }
+            for &ch in &self.children[i] {
+                if s.flags[ch] & UP == 0 {
+                    continue;
+                }
+                let msg = &s.msg[self.msg_off[ch]..self.msg_off[ch + 1]];
+                for (l, &mv) in s.lambda[lo..hi].iter_mut().zip(msg) {
+                    *l *= mv;
+                }
+            }
+            if is_top {
+                // All of the tree's evidence sits below `top`.
+                s.tree_p[r] = self.prior[lo..hi]
+                    .iter()
+                    .zip(&s.lambda[lo..hi])
+                    .map(|(&q, &l)| q * l)
+                    .sum();
+            } else {
+                let p = self.parent[i].expect("a node below top has a parent");
+                let kp = self.k(p);
+                let cpt = &self.cpt_flat[i];
+                let msg = &mut s.msg[self.msg_off[i]..self.msg_off[i + 1]];
+                msg.fill(0.0);
+                for (c, &l) in s.lambda[lo..hi].iter().enumerate() {
+                    if l <= 0.0 {
+                        continue;
+                    }
+                    let row = &cpt[c * kp..(c + 1) * kp];
+                    for (slot, &p_cp) in msg.iter_mut().zip(row) {
+                        *slot += p_cp * l;
+                    }
+                }
+            }
+        }
+        // Trees are independent, so the evidence probability is a product;
+        // an evidence-free tree contributes exactly 1.
+        let p_evidence: f64 = self.roots.iter().map(|&r| s.tree_p[r]).product();
+
+        // Beliefs: from each target up to the first node whose subtree
+        // holds all of its tree's evidence (the target itself when there is
+        // no evidence elsewhere) — that node's belief is prior ⊙ λ, and the
+        // nodes below it on the path step down from their parent.
+        for &t in &s.key_node {
+            let mut i = t;
+            while i != NONE && s.flags[i] & NEED == 0 {
+                s.flags[i] |= NEED;
+                i = if s.ev_below[i] == s.ev_below[self.root_of[i]] {
+                    NONE
+                } else {
+                    self.parent[i].expect("only a root holds all evidence of a tree")
+                };
+            }
+        }
+        for &i in &self.topo {
+            if s.flags[i] & NEED == 0 {
+                continue;
+            }
+            let (lo, hi) = (self.off[i], self.off[i + 1]);
+            if s.ev_below[i] == s.ev_below[self.root_of[i]] {
+                s.belief[lo..hi].copy_from_slice(&self.prior[lo..hi]);
+            } else {
+                // π of the parent with this child's message divided out
+                // (a unit message when the subtree has no evidence).
+                let p = self.parent[i].expect("stepping down from a parent");
+                let kp = self.k(p);
+                let parent_belief = &s.belief[self.off[p]..self.off[p + 1]];
+                let pi_ex = &mut s.tmp[..kp];
+                if s.flags[i] & UP != 0 {
+                    let msg = &s.msg[self.msg_off[i]..self.msg_off[i + 1]];
+                    for ((slot, &b), &mv) in pi_ex.iter_mut().zip(parent_belief).zip(msg) {
+                        *slot = if mv > 0.0 { b / mv } else { 0.0 };
+                    }
+                } else {
+                    pi_ex.copy_from_slice(parent_belief);
+                }
+                // Branch-free per-code dot product: a zero π entry
+                // contributes an exact 0.0.
+                let cpt = &self.cpt_flat[i];
+                for (c, slot) in s.belief[lo..hi].iter_mut().enumerate() {
+                    *slot = dot_chunked(pi_ex, &cpt[c * kp..(c + 1) * kp]);
+                }
+            }
+            if s.flags[i] & UP != 0 {
+                for (b, &l) in s.belief[lo..hi].iter_mut().zip(&s.lambda[lo..hi]) {
+                    *b *= l;
+                }
+            }
+        }
+        // Scale each target's belief by the other trees' evidence
+        // probability so belief sums equal the global p_evidence. Walk the
+        // flags (not `key_node`) so a duplicated target is scaled once.
+        for t in 0..m {
+            if s.flags[t] & TARGET == 0 {
+                continue;
+            }
+            let own = s.tree_p[self.root_of[t]];
+            let others = if own > 0.0 { p_evidence / own } else { 0.0 };
+            if others != 1.0 {
+                for b in &mut s.belief[self.off[t]..self.off[t + 1]] {
+                    *b *= others;
+                }
+            }
+        }
+        p_evidence
+    }
+}
+
+/// Start offsets of consecutive slices with lengths `lens`, followed by
+/// the total: `[0, l0, l0 + l1, …]`.
+fn offsets(lens: impl Iterator<Item = usize>) -> Vec<usize> {
+    std::iter::once(0)
+        .chain(lens.scan(0, |at, len| {
+            *at += len;
+            Some(*at)
+        }))
+        .collect()
+}
+
+/// Whether `clause` is the first clause on `column` in the per-column
+/// `filter` — each column's group of clauses is handled once, there.
+fn starts_group(filter: &FilterExpr, column: &str, clause: &FilterExpr) -> bool {
+    ColumnClauses::Of { filter, column }
+        .first()
+        .is_some_and(|first| std::ptr::eq(first, clause))
+}
+
+/// Codes of rows `first_row..` of `table` for each of `cols`, column-major:
+/// one column borrow and one encoding dispatch per column, sequential
+/// reads (a row-major loop's per-cell re-dispatch costs ~2× on wide
+/// tables). Columns are matched by name, so the schema may carry columns
+/// the network skips (floats).
+fn encode_rows(cols: &[DiscreteColumn], table: &Table, first_row: usize) -> Vec<Vec<u32>> {
+    cols.iter()
+        .map(|dc| {
+            let ci = table
+                .schema()
+                .index_of(&dc.name)
+                .expect("modeled column in schema");
+            let col = table.column(ci);
+            (first_row..table.nrows())
+                .map(|r| dc.encode_row(col, r) as u32)
+                .collect()
+        })
+        .collect()
+}
+
+impl BaseTableEstimator for BayesNetEstimator {
+    fn name(&self) -> &'static str {
+        "bayesnet"
+    }
+
+    fn estimate_filter(&self, filter: &FilterExpr) -> f64 {
+        let mut s = PropScratch::default();
+        s.begin(self, 0);
+        let fallback = self.evidence_into(filter, &mut s);
+        self.propagate(&mut s) * fallback * self.nrows
+    }
+
+    fn key_distribution(&self, key_col: &str, filter: &FilterExpr) -> Vec<f64> {
+        let mut out = TableProfile::default();
+        self.profile_into(filter, &[key_col], &mut out);
+        out.key_dists.pop().expect("one key requested")
+    }
+
+    fn key_bins(&self, key_col: &str) -> usize {
+        match self.node(key_col) {
+            Some(i) => self.k(i) - 1, // exclude the NULL code
+            None => 1,
+        }
+    }
+
+    fn profile(&self, filter: &FilterExpr, key_cols: &[&str]) -> TableProfile {
+        let mut out = TableProfile::default();
+        self.profile_into(filter, key_cols, &mut out);
+        out
+    }
+
+    fn profile_into(&self, filter: &FilterExpr, key_cols: &[&str], out: &mut TableProfile) {
+        out.reset(key_cols.len());
+        let TableProfile {
+            rows,
+            key_dists,
+            scratch: s,
+        } = out;
+        s.begin(self, key_cols.len());
+        let fallback = self.evidence_into(filter, s);
+        for kc in key_cols {
+            let node = self.node(kc);
+            if let Some(i) = node {
+                s.flags[i] |= TARGET;
+            }
+            s.key_node.push(node.unwrap_or(NONE));
+        }
+        let p = self.propagate(s);
+        *rows = p * fallback * self.nrows;
+        for (d, &i) in key_dists.iter_mut().zip(&s.key_node) {
+            if i == NONE {
+                d.push(*rows);
+            } else {
+                let nk = self.k(i) - 1; // drop NULL code
+                let at = self.off[i];
+                d.extend(
+                    s.belief[at..at + nk]
+                        .iter()
+                        .map(|&b| b * fallback * self.nrows),
+                );
+            }
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn BaseTableEstimator> {
+        Box::new(self.clone())
+    }
+
+    fn insert(&mut self, table: &Table, first_new_row: usize) {
+        let codes = encode_rows(&self.cols, table, first_new_row);
+        let delta_rows = table.nrows() - first_new_row;
+        for (i, ci) in codes.iter().enumerate() {
+            let marginal = &mut self.marginal[i];
+            if let (Some(p), Some(j)) = (self.parent[i], self.joint[i].as_mut()) {
+                let kp = self.cols[p].n_codes();
+                let cp = &codes[p];
+                for r in 0..delta_rows {
+                    marginal[ci[r] as usize] += 1.0;
+                    j[ci[r] as usize * kp + cp[r] as usize] += 1.0;
+                }
+                if let Some(t) = self.joint_parent_total[i].as_mut() {
+                    for &pc in cp {
+                        t[pc as usize] += 1.0;
+                    }
+                }
+            } else {
+                for &c in ci {
+                    marginal[c as usize] += 1.0;
+                }
+            }
+        }
+        self.nrows += delta_rows as f64;
+        // Counts changed → refresh the derived CPTs and priors once per
+        // batch.
+        self.recompute_cpts();
+    }
+
+    fn model_bytes(&self) -> usize {
+        let counts: usize = self
+            .marginal
+            .iter()
+            .map(|v| v.len() * 8)
+            .chain(self.joint.iter().flatten().map(|v| v.len() * 8))
+            .sum();
+        let cols: usize = self.cols.iter().map(DiscreteColumn::heap_bytes).sum();
+        counts + cols
+    }
+}
+
+/// The two-pass propagation this module replaced, kept as the reference
+/// the pruned path is checked against: evidence as one `Option<Vec<f64>>`
+/// per node from [`crate::split_per_column`], an upward pass over every
+/// evidence-carrying subtree up to the roots, and a downward pass from the
+/// roots along every root→target path. Root marginals come straight from
+/// the counts, so priors that were not refreshed with the CPTs show up as
+/// a mismatch.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::split_per_column;
+
+    /// Buffers of the reference propagation.
+    #[derive(Debug, Default)]
+    struct RefScratch {
+        lambda: Vec<Vec<f64>>,
+        msg: Vec<Vec<f64>>,
+        belief: Vec<Vec<f64>>,
+        pi_ex: Vec<f64>,
+        has_ev: Vec<bool>,
+        need_belief: Vec<bool>,
+        comp_of: Vec<usize>,
+        comp_p: Vec<f64>,
+    }
+
+    /// Per-node evidence weights plus the fallback multiplier.
+    pub(super) fn evidence(
+        bn: &BayesNetEstimator,
+        filter: &FilterExpr,
+    ) -> (Vec<Option<Vec<f64>>>, f64) {
+        let mut ev: Vec<Option<Vec<f64>>> = vec![None; bn.cols.len()];
         let mut fallback = 1.0;
         match split_per_column(filter) {
             Some(clauses) => {
                 for (col, clause) in clauses {
-                    match self.col_index.get(&col) {
-                        Some(&i) => {
-                            let w = self.cols[i].clause_weights(&clause);
+                    match bn.node(&col) {
+                        Some(i) => {
+                            let w = bn.cols[i].clause_weights(&clause);
                             ev[i] = Some(match ev[i].take() {
                                 None => w,
                                 Some(old) => old.iter().zip(&w).map(|(a, b)| a * b).collect(),
                             });
                         }
-                        None => fallback *= self.cfg.fallback_selectivity,
+                        None => fallback *= bn.cfg.fallback_selectivity,
                     }
                 }
             }
             None => {
-                // Decompose what we can from the top-level conjunction and
-                // charge the constant for the rest.
                 if let FilterExpr::And(parts) = filter {
                     for part in parts {
-                        let (sub_ev, sub_fb) = self.evidence(part);
+                        let (sub_ev, sub_fb) = evidence(bn, part);
                         if sub_fb == 1.0 && split_per_column(part).is_some() {
                             for (slot, w) in ev.iter_mut().zip(sub_ev) {
                                 if let Some(w) = w {
@@ -358,67 +854,39 @@ impl BayesNetEstimator {
                                 }
                             }
                         } else {
-                            fallback *= self.cfg.fallback_selectivity;
+                            fallback *= bn.cfg.fallback_selectivity;
                         }
                     }
                 } else {
-                    fallback *= self.cfg.fallback_selectivity;
+                    fallback *= bn.cfg.fallback_selectivity;
                 }
             }
         }
         (ev, fallback)
     }
 
-    /// Runs `f` with the shared propagation scratch, falling back to fresh
-    /// local buffers when another thread holds it (keeps `profile` lock-free
-    /// for concurrent readers of one table model).
-    fn with_scratch<R>(&self, f: impl FnOnce(&Self, &mut PropScratch) -> R) -> R {
-        match self.scratch.try_lock() {
-            Ok(mut guard) => f(self, &mut guard),
-            Err(_) => f(self, &mut PropScratch::default()),
-        }
-    }
-
-    /// Two-pass belief propagation with evidence-subtree pruning and a
-    /// targeted downward pass.
-    ///
-    /// Writes `belief[t][c] = P(node_t = c, evidence)` into `scratch` for
-    /// every `t ∈ targets` and returns the evidence probability. Work is
-    /// proportional to the evidence-carrying subtrees (upward) and the
-    /// root→target paths (downward): a subtree without evidence sends the
-    /// exactly-unit message (the CPT is normalized), so its O(k²) message
-    /// computation is skipped entirely, and beliefs of nodes nobody asked
-    /// about are never formed. Buffers live in `scratch`, so a warm call
-    /// allocates nothing.
+    /// Writes `belief[t]` for every target and returns `P(evidence)`.
     fn propagate_targets(
-        &self,
+        bn: &BayesNetEstimator,
         ev: &[Option<Vec<f64>>],
         targets: &[usize],
-        scratch: &mut PropScratch,
+        s: &mut RefScratch,
     ) -> f64 {
-        let m = self.cols.len();
-        let s = scratch;
+        let m = bn.cols.len();
         s.lambda.resize_with(m, Vec::new);
         s.msg.resize_with(m, Vec::new);
         s.belief.resize_with(m, Vec::new);
-        s.has_ev.clear();
-        s.has_ev.resize(m, false);
-        s.need_belief.clear();
-        s.need_belief.resize(m, false);
-        s.comp_of.clear();
-        s.comp_of.resize(m, 0);
+        s.has_ev = vec![false; m];
+        s.need_belief = vec![false; m];
+        s.comp_of = vec![0; m];
         s.comp_p.clear();
-
-        // Which subtrees carry evidence (children precede parents in
-        // reverse topological order).
-        for &i in self.topo.iter().rev() {
+        for &i in bn.topo.iter().rev() {
             let mut h = ev[i].is_some();
-            for &ch in &self.children[i] {
+            for &ch in &bn.children[i] {
                 h |= s.has_ev[ch];
             }
             s.has_ev[i] = h;
         }
-        // Whose beliefs we need: targets and all their ancestors.
         for &t in targets {
             let mut i = t;
             loop {
@@ -426,43 +894,35 @@ impl BayesNetEstimator {
                     break;
                 }
                 s.need_belief[i] = true;
-                match self.parent[i] {
+                match bn.parent[i] {
                     Some(p) => i = p,
                     None => break,
                 }
             }
         }
-
-        // Upward: λ_i(c) = w_i(c) · Π_{child} msg_child(c);
-        // msg_i(p) = Σ_c P(c|p) λ_i(c). Evidence-free subtrees send the
-        // unit message and are skipped.
-        for &i in self.topo.iter().rev() {
+        for &i in bn.topo.iter().rev() {
             if !s.has_ev[i] {
                 continue;
             }
-            let k = self.k(i);
-            {
-                let lambda_i = &mut s.lambda[i];
-                lambda_i.clear();
-                match ev[i].as_ref() {
-                    Some(w) => lambda_i.extend_from_slice(w),
-                    None => lambda_i.resize(k, 1.0),
-                }
+            let k = bn.k(i);
+            s.lambda[i].clear();
+            match ev[i].as_ref() {
+                Some(w) => s.lambda[i].extend_from_slice(w),
+                None => s.lambda[i].resize(k, 1.0),
             }
-            for &ch in &self.children[i] {
+            for &ch in &bn.children[i] {
                 if !s.has_ev[ch] {
                     continue;
                 }
-                // `lambda` and `msg` are disjoint buffers.
                 let msg = std::mem::take(&mut s.msg[ch]);
                 for (l, &mv) in s.lambda[i].iter_mut().zip(&msg) {
                     *l *= mv;
                 }
                 s.msg[ch] = msg;
             }
-            if let Some(p) = self.parent[i] {
-                let kp = self.k(p);
-                let cpt = &self.cpt_flat[i];
+            if let Some(p) = bn.parent[i] {
+                let kp = bn.k(p);
+                let cpt = &bn.cpt_flat[i];
                 let msg = &mut s.msg[i];
                 msg.clear();
                 msg.resize(kp, 0.0);
@@ -470,24 +930,18 @@ impl BayesNetEstimator {
                     if l <= 0.0 {
                         continue;
                     }
-                    let row = &cpt[c * kp..(c + 1) * kp];
-                    for (slot, &p_cp) in msg.iter_mut().zip(row) {
+                    for (slot, &p_cp) in msg.iter_mut().zip(&cpt[c * kp..(c + 1) * kp]) {
                         *slot += p_cp * l;
                     }
                 }
             }
         }
-
-        // Per-component evidence probability (forest ⇒ product); a
-        // component without evidence contributes exactly 1.
-        for &i in &self.topo {
-            match self.parent[i] {
+        for &i in &bn.topo {
+            match bn.parent[i] {
                 None => {
                     let p = if s.has_ev[i] {
-                        self.root_dist[i]
-                            .iter()
-                            .zip(&s.lambda[i])
-                            .map(|(&r, &l)| r * l)
+                        (0..bn.k(i))
+                            .map(|c| bn.root_prob(i, c) * s.lambda[i][c])
                             .sum()
                     } else {
                         1.0
@@ -499,29 +953,17 @@ impl BayesNetEstimator {
             }
         }
         let p_evidence: f64 = s.comp_p.iter().product();
-
-        // Downward, only along root→target paths: belief_i(c) = π_i(c) ·
-        // λ_i(c), where for the root π = prior and for children π comes
-        // from the parent's belief with this child's message divided out.
-        for &i in &self.topo {
+        for &i in &bn.topo {
             if !s.need_belief[i] {
                 continue;
             }
-            let k = self.k(i);
-            match self.parent[i] {
+            let k = bn.k(i);
+            match bn.parent[i] {
                 None => {
-                    let belief_i = &mut s.belief[i];
-                    belief_i.clear();
-                    belief_i.extend_from_slice(&self.root_dist[i]);
-                    if s.has_ev[i] {
-                        for (b, &l) in belief_i.iter_mut().zip(&s.lambda[i]) {
-                            *b *= l;
-                        }
-                    }
+                    s.belief[i] = (0..k).map(|c| bn.root_prob(i, c)).collect();
                 }
                 Some(p) => {
-                    let kp = self.k(p);
-                    // π_parent excluding child i (unit message ⇒ π = belief).
+                    let kp = bn.k(p);
                     s.pi_ex.clear();
                     if s.has_ev[i] {
                         for (pc, &b) in s.belief[p].iter().enumerate() {
@@ -531,28 +973,18 @@ impl BayesNetEstimator {
                     } else {
                         s.pi_ex.extend_from_slice(&s.belief[p]);
                     }
-                    let cpt = &self.cpt_flat[i];
-                    let belief_i = &mut s.belief[i];
-                    belief_i.clear();
-                    belief_i.resize(k, 0.0);
-                    // Branch-free per-code dot product: a zero π entry
-                    // contributes an exact 0.0, so the former `pe > 0.0`
-                    // test only blocked vectorization.
-                    for (c, slot) in belief_i.iter_mut().enumerate() {
-                        *slot = dot_chunked(&s.pi_ex, &cpt[c * kp..(c + 1) * kp]);
-                    }
-                    if s.has_ev[i] {
-                        for (b, &l) in s.belief[i].iter_mut().zip(&s.lambda[i]) {
-                            *b *= l;
-                        }
-                    }
+                    let cpt = &bn.cpt_flat[i];
+                    s.belief[i] = (0..k)
+                        .map(|c| dot_chunked(&s.pi_ex, &cpt[c * kp..(c + 1) * kp]))
+                        .collect();
+                }
+            }
+            if s.has_ev[i] {
+                for (b, &l) in s.belief[i].iter_mut().zip(&s.lambda[i]) {
+                    *b *= l;
                 }
             }
         }
-        // Scale each computed belief by the other components' evidence
-        // probability so belief sums equal the global p_evidence. Iterate
-        // the need_belief marks (not `targets`) so a duplicated target is
-        // scaled exactly once.
         if s.comp_p.len() > 1 {
             for i in 0..m {
                 if !s.need_belief[i] {
@@ -569,151 +1001,33 @@ impl BayesNetEstimator {
         }
         p_evidence
     }
-}
 
-impl BaseTableEstimator for BayesNetEstimator {
-    fn name(&self) -> &'static str {
-        "bayesnet"
-    }
-
-    fn estimate_filter(&self, filter: &FilterExpr) -> f64 {
-        let (ev, fallback) = self.evidence(filter);
-        let p = self.with_scratch(|bn, scratch| bn.propagate_targets(&ev, &[], scratch));
-        p * fallback * self.nrows
-    }
-
-    fn key_distribution(&self, key_col: &str, filter: &FilterExpr) -> Vec<f64> {
-        let mut out = TableProfile::default();
-        self.profile_into(filter, &[key_col], &mut out);
-        out.key_dists.pop().expect("one key requested")
-    }
-
-    fn key_bins(&self, key_col: &str) -> usize {
-        match self.col_index.get(key_col) {
-            Some(&i) => self.k(i) - 1, // exclude the NULL code
-            None => 1,
-        }
-    }
-
-    fn profile(&self, filter: &FilterExpr, key_cols: &[&str]) -> TableProfile {
-        let mut out = TableProfile::default();
-        self.profile_into(filter, key_cols, &mut out);
-        out
-    }
-
-    fn profile_into(&self, filter: &FilterExpr, key_cols: &[&str], out: &mut TableProfile) {
-        let (ev, fallback) = self.evidence(filter);
-        // Belief targets: the requested keys the network models (≤ a few
-        // per alias — a stack array avoids allocating per profile; the
-        // spill path covers pathological key counts).
-        let mut targets_buf = [0usize; 16];
-        let mut spill: Vec<usize> = Vec::new();
-        let mut nt = 0usize;
-        for kc in key_cols {
-            if let Some(&i) = self.col_index.get(*kc) {
-                if nt < targets_buf.len() {
-                    targets_buf[nt] = i;
-                    nt += 1;
-                } else {
-                    if spill.is_empty() {
-                        spill.extend_from_slice(&targets_buf);
-                    }
-                    spill.push(i);
-                }
-            }
-        }
-        let targets: &[usize] = if spill.is_empty() {
-            &targets_buf[..nt]
-        } else {
-            &spill
-        };
-        out.reset(key_cols.len());
-        self.with_scratch(|bn, scratch| {
-            let p = bn.propagate_targets(&ev, targets, scratch);
-            out.rows = p * fallback * bn.nrows;
-            for (d, kc) in out.key_dists.iter_mut().zip(key_cols) {
-                match bn.col_index.get(*kc) {
-                    Some(&i) => {
-                        let nk = bn.k(i) - 1; // drop NULL code
-                        d.extend(
-                            scratch.belief[i][..nk]
-                                .iter()
-                                .map(|&b| b * fallback * bn.nrows),
-                        );
-                    }
-                    None => d.push(out.rows),
-                }
-            }
-        });
-    }
-
-    fn clone_box(&self) -> Box<dyn BaseTableEstimator> {
-        Box::new(self.clone())
-    }
-
-    fn insert(&mut self, table: &Table, first_new_row: usize) {
-        let n = table.nrows();
-        let m = self.cols.len();
-        // Map node → source column index by name (schema may have floats
-        // that were skipped at build time).
-        let src: Vec<usize> = self
-            .cols
+    /// The reference profile of `filter` for `key_cols`.
+    pub(super) fn profile(
+        bn: &BayesNetEstimator,
+        filter: &FilterExpr,
+        key_cols: &[&str],
+    ) -> TableProfile {
+        let (ev, fallback) = evidence(bn, filter);
+        let targets: Vec<usize> = key_cols.iter().filter_map(|kc| bn.node(kc)).collect();
+        let mut s = RefScratch::default();
+        let p = propagate_targets(bn, &ev, &targets, &mut s);
+        let rows = p * fallback * bn.nrows;
+        let key_dists = key_cols
             .iter()
-            .map(|c| table.schema().index_of(&c.name).expect("schema unchanged"))
-            .collect();
-        // Encode the delta column-major like the build path: one column
-        // borrow and one encoding dispatch per column, sequential reads —
-        // the per-(row, column) re-dispatch of a row-major loop costs ~2×
-        // on wide tables.
-        let delta_rows = n - first_new_row;
-        let codes: Vec<Vec<u32>> = self
-            .cols
-            .iter()
-            .zip(&src)
-            .map(|(dc, &ci)| {
-                let col = table.column(ci);
-                (first_new_row..n)
-                    .map(|r| dc.encode_row(col, r) as u32)
-                    .collect()
+            .map(|kc| match bn.node(kc) {
+                Some(i) => s.belief[i][..bn.k(i) - 1]
+                    .iter()
+                    .map(|&b| b * fallback * bn.nrows)
+                    .collect(),
+                None => vec![rows],
             })
             .collect();
-        for i in 0..m {
-            let ci = &codes[i];
-            let marginal = &mut self.marginal[i];
-            if let (Some(p), Some(j)) = (self.parent[i], self.joint[i].as_mut()) {
-                let kp = self.cols[p].n_codes();
-                let cp = &codes[p];
-                let totals = self.joint_parent_total[i].as_mut();
-                for r in 0..delta_rows {
-                    marginal[ci[r] as usize] += 1.0;
-                    j[ci[r] as usize * kp + cp[r] as usize] += 1.0;
-                }
-                if let Some(t) = totals {
-                    for r in 0..delta_rows {
-                        t[cp[r] as usize] += 1.0;
-                    }
-                }
-            } else {
-                for r in 0..delta_rows {
-                    marginal[ci[r] as usize] += 1.0;
-                }
-            }
+        TableProfile {
+            rows,
+            key_dists,
+            ..TableProfile::default()
         }
-        self.nrows += (n - first_new_row) as f64;
-        // Counts changed → refresh the precomputed CPTs / root marginals
-        // once per batch (they are derived state).
-        self.recompute_cpts();
-    }
-
-    fn model_bytes(&self) -> usize {
-        let counts: usize = self
-            .marginal
-            .iter()
-            .map(|v| v.len() * 8)
-            .chain(self.joint.iter().flatten().map(|v| v.len() * 8))
-            .sum();
-        let cols: usize = self.cols.iter().map(DiscreteColumn::heap_bytes).sum();
-        counts + cols
     }
 }
 
@@ -725,6 +1039,7 @@ mod tests {
     use fj_storage::{ColumnDef, DataType, TableSchema, Value};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     /// Table with a strong key↔attribute correlation: attr = key % 4.
     fn correlated_table(n: usize) -> Table {
@@ -961,5 +1276,328 @@ mod tests {
         for (a, b) in p.key_dists[0].iter().zip(&d) {
             assert!((a - b).abs() < 1e-9);
         }
+    }
+
+    /// `a` and `b` agree within `1e-12` relative.
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+    }
+
+    /// Asserts that the pruned profile matches the reference propagation.
+    fn assert_matches_reference(bn: &BayesNetEstimator, f: &FilterExpr, keys: &[&str]) {
+        let mut got = TableProfile::default();
+        bn.profile_into(f, keys, &mut got);
+        let want = reference::profile(bn, f, keys);
+        assert!(
+            close(got.rows, want.rows),
+            "{f}: rows {} vs reference {}",
+            got.rows,
+            want.rows
+        );
+        assert_eq!(got.key_dists.len(), want.key_dists.len());
+        for ((g, w), key) in got.key_dists.iter().zip(&want.key_dists).zip(keys) {
+            assert_eq!(g.len(), w.len(), "{f}: key {key} length");
+            for (b, (&x, &y)) in g.iter().zip(w).enumerate() {
+                assert!(close(x, y), "{f}: key {key} bin {b}: {x} vs reference {y}");
+            }
+        }
+    }
+
+    /// The STATS tables (scale 0.05) with every join key binned by value
+    /// modulo `k`.
+    fn stats_tables(k: u32) -> Vec<(Table, TableBins)> {
+        let cat = fj_datagen::stats_catalog(&fj_datagen::StatsConfig {
+            scale: 0.05,
+            ..Default::default()
+        });
+        cat.tables()
+            .map(|t| {
+                let mut bins = TableBins::new();
+                for (ci, def) in t.schema().columns().iter().enumerate() {
+                    if !def.join_key {
+                        continue;
+                    }
+                    let col = t.column(ci);
+                    let map: HashMap<i64, u32> = (0..t.nrows())
+                        .filter_map(|r| col.key_at(r))
+                        .map(|v| (v, (v.rem_euclid(k as i64)) as u32))
+                        .collect();
+                    bins.insert(&def.name, KeyBinMap::new(k as usize, map));
+                }
+                (t.clone(), bins)
+            })
+            .collect()
+    }
+
+    /// A random single-column clause on column `ci` of `t`, built from
+    /// values the column holds: comparisons, ranges, IN lists, NULL tests,
+    /// same-column OR and NOT.
+    fn random_clause(rng: &mut StdRng, t: &Table, ci: usize) -> FilterExpr {
+        let name = t.schema().column(ci).name.as_str();
+        let col = t.column(ci);
+        let mut value = |rng: &mut StdRng| col.get(rng.gen_range(0..t.nrows()));
+        let atom = |rng: &mut StdRng, value: &mut dyn FnMut(&mut StdRng) -> Value| {
+            let v = value(rng);
+            FilterExpr::pred(match rng.gen_range(0..6) {
+                0 => Predicate::IsNull {
+                    column: name.into(),
+                    negated: rng.gen_bool(0.5),
+                },
+                1 => Predicate::in_list(name, vec![v, value(rng), value(rng)]),
+                2 => Predicate::between(name, v, value(rng)),
+                3 => Predicate::eq(name, v),
+                _ => {
+                    let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Neq];
+                    Predicate::cmp(name, ops[rng.gen_range(0..ops.len())], v)
+                }
+            })
+        };
+        match rng.gen_range(0..5) {
+            0 => FilterExpr::or(vec![atom(rng, &mut value), atom(rng, &mut value)]),
+            1 => FilterExpr::Not(Box::new(atom(rng, &mut value))),
+            _ => atom(rng, &mut value),
+        }
+    }
+
+    /// A random filter with evidence on `focus` (plus 0–2 other modeled
+    /// columns), sometimes a second clause on the same column, an
+    /// unmodeled column, or a cross-column OR the network must charge the
+    /// fallback constant for.
+    fn random_filter(
+        rng: &mut StdRng,
+        bn: &BayesNetEstimator,
+        t: &Table,
+        focus: usize,
+    ) -> FilterExpr {
+        let ci = |node: usize| t.schema().index_of(&bn.cols[node].name).unwrap();
+        let mut parts = vec![random_clause(rng, t, ci(focus))];
+        for _ in 0..rng.gen_range(0..3) {
+            let node = rng.gen_range(0..bn.num_nodes());
+            parts.push(random_clause(rng, t, ci(node)));
+        }
+        if rng.gen_bool(0.3) {
+            parts.push(random_clause(rng, t, ci(focus)));
+        }
+        if rng.gen_bool(0.15) {
+            parts.push(FilterExpr::pred(Predicate::eq("ghost", 1)));
+        }
+        if rng.gen_bool(0.2) {
+            let other = rng.gen_range(0..bn.num_nodes());
+            parts.push(FilterExpr::or(vec![
+                random_clause(rng, t, ci(focus)),
+                random_clause(rng, t, ci(other)),
+            ]));
+        }
+        FilterExpr::and(parts)
+    }
+
+    /// Requested key columns: a random selection of the table's join keys,
+    /// sometimes duplicated, sometimes with a column the network does not
+    /// model.
+    fn random_keys<'t>(rng: &mut StdRng, t: &'t Table) -> Vec<&'t str> {
+        let keys: Vec<&str> = t
+            .schema()
+            .columns()
+            .iter()
+            .filter(|d| d.join_key)
+            .map(|d| d.name.as_str())
+            .collect();
+        let mut out: Vec<&str> = keys.iter().copied().filter(|_| rng.gen_bool(0.7)).collect();
+        if !out.is_empty() && rng.gen_bool(0.3) {
+            out.push(out[0]);
+        }
+        if rng.gen_bool(0.2) {
+            out.push("ghost");
+        }
+        out
+    }
+
+    /// Evidence focus nodes worth covering: the root, a leaf, every key
+    /// node, and a few random nodes.
+    fn focus_nodes(rng: &mut StdRng, bn: &BayesNetEstimator, t: &Table) -> Vec<usize> {
+        let mut nodes = vec![bn.roots[0]];
+        nodes.extend((0..bn.num_nodes()).find(|&i| bn.children[i].is_empty()));
+        nodes.extend((0..bn.num_nodes()).filter(|&i| {
+            let ci = t.schema().index_of(&bn.cols[i].name).unwrap();
+            t.schema().column(ci).join_key
+        }));
+        nodes.extend((0..3).map(|_| rng.gen_range(0..bn.num_nodes())));
+        nodes
+    }
+
+    /// Rebuilds `bn`'s network over `t` with the edges into `cut` removed,
+    /// making a forest of several trees.
+    fn forest(
+        t: &Table,
+        bins: &TableBins,
+        bn: &BayesNetEstimator,
+        cut: &[usize],
+    ) -> BayesNetEstimator {
+        let mut parent = bn.parent.clone();
+        for &i in cut {
+            parent[i] = None;
+        }
+        let (cols, codes) = BayesNetEstimator::discretize(t, bins, bn.cfg);
+        BayesNetEstimator::fit(cols, &codes, parent, t.nrows(), bn.cfg)
+    }
+
+    /// The pruned propagation agrees with the two-pass reference on random
+    /// filters over STATS-shaped networks — single trees and forests.
+    #[test]
+    fn pruned_propagation_matches_reference_on_stats_networks() {
+        let mut rng = StdRng::seed_from_u64(2023);
+        for (t, bins) in stats_tables(16) {
+            let tree = BayesNetEstimator::build(&t, &bins, BnConfig::default());
+            let m = tree.num_nodes();
+            let cut: Vec<usize> = (0..m)
+                .filter(|&i| tree.parent[i].is_some() && i % 3 == 1)
+                .collect();
+            let split = forest(&t, &bins, &tree, &cut);
+            assert!(
+                m < 3 || split.roots.len() > 1,
+                "{}: forest has one tree",
+                t.name()
+            );
+            for bn in [&tree, &split] {
+                for focus in focus_nodes(&mut rng, bn, &t) {
+                    for _ in 0..6 {
+                        let f = random_filter(&mut rng, bn, &t, focus);
+                        let keys = random_keys(&mut rng, &t);
+                        assert_matches_reference(bn, &f, &keys);
+                    }
+                }
+                let keys = random_keys(&mut rng, &t);
+                assert_matches_reference(bn, &FilterExpr::True, &keys);
+            }
+        }
+    }
+
+    /// The allocation-free evidence builder reproduces the reference
+    /// evidence (split, merged and fallback-charged) bit for bit.
+    #[test]
+    fn evidence_matches_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for (t, bins) in stats_tables(8) {
+            let bn = BayesNetEstimator::build(&t, &bins, BnConfig::default());
+            let mut s = PropScratch::default();
+            for focus in focus_nodes(&mut rng, &bn, &t) {
+                for _ in 0..8 {
+                    let f = random_filter(&mut rng, &bn, &t, focus);
+                    s.begin(&bn, 0);
+                    let fallback = bn.evidence_into(&f, &mut s);
+                    let (ev, want_fallback) = reference::evidence(&bn, &f);
+                    assert_eq!(fallback.to_bits(), want_fallback.to_bits(), "{f}");
+                    for (i, w) in ev.iter().enumerate() {
+                        assert_eq!(s.flags[i] & EV != 0, w.is_some(), "{f}: node {i}");
+                        if let Some(w) = w {
+                            let got = &s.ev[bn.off[i]..bn.off[i + 1]];
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(got), bits(w), "{f}: node {i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `TRUE` filter's profile is the prior scaled by the row count,
+    /// exactly: no propagation runs.
+    #[test]
+    fn true_filter_profile_is_prior_times_rows() {
+        for (t, bins) in stats_tables(16) {
+            let bn = BayesNetEstimator::build(&t, &bins, BnConfig::default());
+            let keys: Vec<&str> = bins.iter().map(|(name, _)| name.as_str()).collect();
+            let p = bn.profile(&FilterExpr::True, &keys);
+            assert_eq!(p.rows.to_bits(), bn.nrows.to_bits());
+            for (d, key) in p.key_dists.iter().zip(&keys) {
+                let i = bn.node(key).unwrap();
+                let want: Vec<u64> = bn.prior[bn.off[i]..bn.off[i + 1] - 1]
+                    .iter()
+                    .map(|&q| (q * bn.nrows).to_bits())
+                    .collect();
+                let got: Vec<u64> = d.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{}.{key}", t.name());
+            }
+        }
+    }
+
+    /// Priors are derived state: after `insert` — in place, and on a clone
+    /// as `FactorJoinModel::updated_with` does through `clone_box` — the
+    /// pruned profiles still match the reference, whose root marginals come
+    /// straight from the updated counts.
+    #[test]
+    fn profiles_match_reference_after_insert() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for (mut t, bins) in stats_tables(16) {
+            let n = t.nrows();
+            let base = BayesNetEstimator::build(&t, &bins, BnConfig::default());
+            // Skewed insert: repeat a few rows many times, so every CPT and
+            // prior moves visibly.
+            let rows: Vec<Vec<Value>> = (0..n)
+                .map(|r| {
+                    let src = r % 7;
+                    (0..t.schema().columns().len())
+                        .map(|c| t.column(c).get(src))
+                        .collect()
+                })
+                .collect();
+            t.append_rows(&rows).unwrap();
+            let mut in_place = base.clone();
+            in_place.insert(&t, n);
+            let mut copy = base.clone();
+            copy.insert(&t, n);
+            for bn in [&in_place, &copy] {
+                for focus in focus_nodes(&mut rng, bn, &t) {
+                    let f = random_filter(&mut rng, bn, &t, focus);
+                    let keys = random_keys(&mut rng, &t);
+                    assert_matches_reference(bn, &f, &keys);
+                    assert_matches_reference(bn, &FilterExpr::True, &keys);
+                }
+            }
+            assert_ne!(copy.prior, base.prior, "{}: priors did not move", t.name());
+        }
+    }
+
+    /// The estimator holds no mutable state: two threads profiling one
+    /// shared network concurrently get bit-identical results to a serial
+    /// pass.
+    #[test]
+    fn concurrent_profiles_match_serial() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let (t, bins) = stats_tables(16).swap_remove(1);
+        let bn = BayesNetEstimator::build(&t, &bins, BnConfig::default());
+        let cases: Vec<(FilterExpr, Vec<&str>)> = focus_nodes(&mut rng, &bn, &t)
+            .into_iter()
+            .map(|focus| {
+                (
+                    random_filter(&mut rng, &bn, &t, focus),
+                    random_keys(&mut rng, &t),
+                )
+            })
+            .collect();
+        let bits = |p: &TableProfile| -> Vec<u64> {
+            std::iter::once(p.rows.to_bits())
+                .chain(p.key_dists.iter().flatten().map(|x| x.to_bits()))
+                .collect()
+        };
+        let serial: Vec<Vec<u64>> = cases.iter().map(|(f, k)| bits(&bn.profile(f, k))).collect();
+        // Both threads start profiling together, so their passes overlap.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for offset in 0..2 {
+                let (bn, cases, serial, start) = (&bn, &cases, &serial, &start);
+                scope.spawn(move || {
+                    let mut out = TableProfile::default();
+                    start.wait();
+                    for round in 0..200 {
+                        let at = (round * 7 + offset) % cases.len();
+                        let (f, keys) = &cases[at];
+                        bn.profile_into(f, keys, &mut out);
+                        assert_eq!(bits(&out), serial[at], "{f}");
+                    }
+                });
+            }
+        });
     }
 }

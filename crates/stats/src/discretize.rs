@@ -15,6 +15,7 @@
 //!   evidence.
 
 use crate::binmap::KeyBinMap;
+use crate::evidence::ColumnClauses;
 use fj_query::{FilterExpr, Predicate};
 use fj_storage::{Column, DataType, Table, Value};
 use std::collections::HashMap;
@@ -284,50 +285,58 @@ impl DiscreteColumn {
     /// under within-bucket uniformity for bucketized numerics (combined
     /// with product/complement fuzzy logic across boolean connectives).
     pub fn clause_weights(&self, clause: &FilterExpr) -> Vec<f64> {
-        let n = self.n_codes();
-        let mut w = vec![0.0; n];
+        let mut w = vec![0.0; self.n_codes()];
+        self.weights_into(ColumnClauses::One(clause), &mut w);
+        w
+    }
+
+    /// [`Self::clause_weights`] of the AND of `clauses`, written into `w`
+    /// (length [`Self::n_codes`]). Per-code weights of separable encodings
+    /// multiply clause by clause, which is bit-identical to evaluating the
+    /// merged conjunction: a 0/1 product is the AND, and bucket coverage of
+    /// an AND is the same left-to-right product from 1.0.
+    pub(crate) fn weights_into(&self, clauses: ColumnClauses<'_>, w: &mut [f64]) {
+        let null = self.null_code();
+        w.fill(0.0);
         match &self.encoding {
             Encoding::KeyBins(_) => {
                 // Value predicates on binned keys are not representable at
                 // bin granularity; treat as non-selective (weight 1) except
                 // for NULL tests, which the code structure does capture.
-                for (c, slot) in w.iter_mut().enumerate() {
-                    let v = if c == self.null_code() {
-                        Value::Null
-                    } else {
-                        Value::Int(c as i64)
-                    };
-                    *slot = match only_null_tests(clause) {
-                        Some(expr) => eval01(&expr, &v),
-                        None => {
-                            if c == self.null_code() {
-                                0.0
-                            } else {
-                                1.0
-                            }
-                        }
-                    };
+                // A NULL test reads every non-null bin the same way.
+                if clauses.only_null_tests() {
+                    w.fill(bool01(clauses.eval_on(&Value::Int(0))));
+                    w[null] = bool01(clauses.eval_on(&Value::Null));
+                } else {
+                    w.fill(1.0);
+                    w[null] = 0.0;
                 }
+                return;
             }
             Encoding::IntCategorical { values } => {
-                for (i, &x) in values.iter().enumerate() {
-                    w[i] = eval01(clause, &Value::Int(x));
-                }
-                w[self.null_code()] = eval01(clause, &Value::Null);
+                w[..values.len()].fill(1.0);
+                clauses.for_each(|clause| {
+                    for (slot, &x) in w.iter_mut().zip(values) {
+                        *slot *= eval01(clause, &Value::Int(x));
+                    }
+                });
             }
             Encoding::IntBuckets {
                 mins, maxs, ndv, ..
             } => {
-                for i in 0..self.non_null_codes {
-                    w[i] = bucket_coverage(clause, mins[i], maxs[i], ndv[i]);
-                }
-                w[self.null_code()] = eval01(clause, &Value::Null);
+                w[..self.non_null_codes].fill(1.0);
+                clauses.for_each(|clause| {
+                    for i in 0..self.non_null_codes {
+                        w[i] *= bucket_coverage(clause, mins[i], maxs[i], ndv[i]);
+                    }
+                });
             }
             Encoding::StrSmall { dict, .. } => {
-                for (i, s) in dict.iter().enumerate() {
-                    w[i] = eval01(clause, &Value::Str(s.clone()));
+                let mut v = Value::Str(String::new());
+                for (slot, s) in w.iter_mut().zip(dict) {
+                    set_str(&mut v, s);
+                    *slot = bool01(clauses.eval_on(&v));
                 }
-                w[self.null_code()] = eval01(clause, &Value::Null);
             }
             Encoding::StrHashed {
                 n,
@@ -335,23 +344,20 @@ impl DiscreteColumn {
                 dict_rows,
                 bucket_rows,
             } => {
-                let mut matched = vec![0f64; *n];
+                // Matched rows accumulate in `w`, then become fractions.
+                let mut v = Value::Str(String::new());
                 for (code, s) in dict.iter().enumerate() {
-                    if eval01(clause, &Value::Str(s.clone())) > 0.5 {
-                        matched[str_bucket(s, *n)] += dict_rows[code] as f64;
+                    set_str(&mut v, s);
+                    if clauses.eval_on(&v) {
+                        w[str_bucket(s, *n)] += dict_rows[code] as f64;
                     }
                 }
-                for i in 0..*n {
-                    w[i] = if bucket_rows[i] > 0.0 {
-                        matched[i] / bucket_rows[i]
-                    } else {
-                        0.0
-                    };
+                for (slot, &rows) in w[..*n].iter_mut().zip(bucket_rows) {
+                    *slot = if rows > 0.0 { *slot / rows } else { 0.0 };
                 }
-                w[self.null_code()] = eval01(clause, &Value::Null);
             }
         }
-        w
+        w[null] = bool01(clauses.eval_on(&Value::Null));
     }
 
     /// Approximate heap footprint in bytes.
@@ -368,21 +374,24 @@ impl DiscreteColumn {
     }
 }
 
-/// Extracts the clause if it consists only of NULL tests (else `None`).
-fn only_null_tests(clause: &FilterExpr) -> Option<FilterExpr> {
-    let all_null = clause
-        .predicates()
-        .iter()
-        .all(|p| matches!(p, Predicate::IsNull { .. }));
-    all_null.then(|| clause.clone())
-}
-
 /// Evaluates a clause on a concrete value → {0.0, 1.0}.
 fn eval01(clause: &FilterExpr, v: &Value) -> f64 {
-    if clause.eval(&|_c: &str| v.clone()) {
+    bool01(clause.eval_on(v))
+}
+
+fn bool01(b: bool) -> f64 {
+    if b {
         1.0
     } else {
         0.0
+    }
+}
+
+/// Overwrites the string held by `v` (a `Value::Str`), reusing its buffer.
+fn set_str(v: &mut Value, s: &str) {
+    if let Value::Str(buf) = v {
+        buf.clear();
+        buf.push_str(s);
     }
 }
 

@@ -6,46 +6,143 @@
 //! clauses that each reference a single column (disjunctions/negations
 //! *inside* a clause are fine — they still induce a code-weight vector).
 //! [`split_per_column`] performs the decomposition; [`clause_weights`]
-//! evaluates a clause against a discretized column.
+//! evaluates a clause against a discretized column. The estimator's hot
+//! path walks the same decomposition in place (`ColumnClauses`), borrowing
+//! the clauses instead of cloning them.
 
 use crate::discretize::DiscreteColumn;
 use fj_query::FilterExpr;
+use fj_storage::Value;
 
 /// Splits `filter` into per-column clauses if it is a conjunction of
 /// single-column sub-expressions; returns `None` for cross-column
 /// disjunctions (which the BN estimator cannot express as evidence).
+/// Clauses on the same column are merged with AND, in first-reference
+/// order.
 pub fn split_per_column(filter: &FilterExpr) -> Option<Vec<(String, FilterExpr)>> {
+    if !is_per_column(filter) {
+        return None;
+    }
     let mut clauses: Vec<(String, FilterExpr)> = Vec::new();
-    collect(filter, &mut clauses)?;
+    visit_clauses(
+        filter,
+        &mut |col, clause| match clauses.iter_mut().find(|(c, _)| c == col) {
+            Some(entry) => {
+                let merged = std::mem::replace(&mut entry.1, FilterExpr::True);
+                entry.1 = FilterExpr::and(vec![merged, clause.clone()]);
+            }
+            None => clauses.push((col.to_string(), clause.clone())),
+        },
+    );
     Some(clauses)
 }
 
-fn collect(expr: &FilterExpr, out: &mut Vec<(String, FilterExpr)>) -> Option<()> {
+/// Whether `filter` is a conjunction of single-column clauses — the shape
+/// [`split_per_column`] accepts — checked without allocating.
+pub(crate) fn is_per_column(filter: &FilterExpr) -> bool {
+    visit_clauses(filter, &mut |_, _| {})
+}
+
+/// Calls `f(column, clause)` for every single-column conjunct of `filter`,
+/// in conjunction order, skipping conjuncts that reference no column.
+/// Returns `false`, having stopped early, at the first conjunct that
+/// references several columns.
+pub(crate) fn visit_clauses<'f>(
+    filter: &'f FilterExpr,
+    f: &mut impl FnMut(&'f str, &'f FilterExpr),
+) -> bool {
+    match filter {
+        FilterExpr::True => true,
+        FilterExpr::And(parts) => parts.iter().all(|p| visit_clauses(p, f)),
+        clause => {
+            let mut col = None;
+            if !single_column(clause, &mut col) {
+                return false;
+            }
+            if let Some(col) = col {
+                f(col, clause);
+            }
+            true
+        }
+    }
+}
+
+/// Records the first column `expr` references in `col`; `false` once a
+/// second, different column appears.
+fn single_column<'f>(expr: &'f FilterExpr, col: &mut Option<&'f str>) -> bool {
     match expr {
-        FilterExpr::True => Some(()),
-        FilterExpr::And(parts) => {
-            for p in parts {
-                collect(p, out)?;
+        FilterExpr::True => true,
+        FilterExpr::Pred(p) => match *col {
+            None => {
+                *col = Some(p.column());
+                true
             }
-            Some(())
+            Some(c) => c == p.column(),
+        },
+        FilterExpr::And(parts) | FilterExpr::Or(parts) => {
+            parts.iter().all(|e| single_column(e, col))
         }
-        other => {
-            let cols = other.columns();
-            match cols.len() {
-                0 => Some(()),
-                1 => {
-                    let col = cols.into_iter().next().expect("len checked");
-                    // Merge multiple clauses on the same column with AND.
-                    if let Some(entry) = out.iter_mut().find(|(c, _)| *c == col) {
-                        entry.1 = FilterExpr::and(vec![entry.1.clone(), other.clone()]);
-                    } else {
-                        out.push((col, other.clone()));
+        FilterExpr::Not(inner) => single_column(inner, col),
+    }
+}
+
+/// The clauses evidence on one column is built from; the evidence is
+/// their AND.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ColumnClauses<'f> {
+    /// A single clause, taken whole.
+    One(&'f FilterExpr),
+    /// The conjuncts of a per-column `filter` that reference `column`.
+    Of {
+        filter: &'f FilterExpr,
+        column: &'f str,
+    },
+}
+
+impl<'f> ColumnClauses<'f> {
+    /// Calls `f` on each clause, in conjunction order.
+    pub(crate) fn for_each(self, mut f: impl FnMut(&'f FilterExpr)) {
+        match self {
+            ColumnClauses::One(clause) => f(clause),
+            ColumnClauses::Of { filter, column } => {
+                visit_clauses(filter, &mut |col, clause| {
+                    if col == column {
+                        f(clause);
                     }
-                    Some(())
-                }
-                _ => None,
+                });
             }
         }
+    }
+
+    /// The first clause (`None` when the column has none).
+    pub(crate) fn first(self) -> Option<&'f FilterExpr> {
+        let mut first = None;
+        self.for_each(|clause| {
+            first.get_or_insert(clause);
+        });
+        first
+    }
+
+    /// Whether every clause holds for the value `v`.
+    pub(crate) fn eval_on(self, v: &Value) -> bool {
+        let mut all = true;
+        self.for_each(|clause| all &= clause.eval_on(v));
+        all
+    }
+
+    /// Whether the clauses consist only of NULL tests.
+    pub(crate) fn only_null_tests(self) -> bool {
+        fn only_null(e: &FilterExpr) -> bool {
+            match e {
+                FilterExpr::True => true,
+                FilterExpr::Pred(p) => matches!(p, fj_query::Predicate::IsNull { .. }),
+                FilterExpr::And(parts) | FilterExpr::Or(parts) => parts.iter().all(only_null),
+                FilterExpr::Not(inner) => only_null(inner),
+            }
+        }
+        let mut all = true;
+        self.for_each(|clause| all &= only_null(clause));
+        all
     }
 }
 
@@ -98,6 +195,7 @@ mod tests {
     fn cross_column_disjunction_is_rejected() {
         let f = FilterExpr::or(vec![pred("a", 1), pred("b", 2)]);
         assert!(split_per_column(&f).is_none());
+        assert!(!is_per_column(&f));
     }
 
     #[test]

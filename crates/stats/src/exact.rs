@@ -81,6 +81,7 @@ impl BaseTableEstimator for ExactEstimator {
         TableProfile {
             rows,
             key_dists: dists,
+            ..TableProfile::default()
         }
     }
 

@@ -156,6 +156,7 @@ impl BaseTableEstimator for SamplingEstimator {
         TableProfile {
             rows: hits as f64 * s,
             key_dists: dists,
+            ..TableProfile::default()
         }
     }
 

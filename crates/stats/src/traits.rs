@@ -1,5 +1,6 @@
 //! The estimator interface FactorJoin plugs into.
 
+use crate::bayesnet::PropScratch;
 use fj_query::FilterExpr;
 use fj_storage::Table;
 
@@ -9,7 +10,10 @@ use fj_storage::Table;
 ///
 /// Profiles are reusable output buffers: [`BaseTableEstimator::profile_into`]
 /// refills an existing profile in place so the sub-plan estimation hot path
-/// does not allocate fresh distributions per query.
+/// does not allocate fresh distributions per query. A profile also owns the
+/// working buffers of the estimators that need them (Bayesian-network
+/// evidence and belief propagation), so estimators stay immutable and each
+/// caller — one per worker thread — brings its own.
 #[derive(Debug, Clone, Default)]
 pub struct TableProfile {
     /// Estimated `|Q(A)|` — rows satisfying the filter.
@@ -17,6 +21,8 @@ pub struct TableProfile {
     /// For each requested key column: estimated rows per bin (unnormalized
     /// distribution over the key's binned domain, NULL keys excluded).
     pub key_dists: Vec<Vec<f64>>,
+    /// Estimator working buffers, reused across profiles.
+    pub(crate) scratch: PropScratch,
 }
 
 impl TableProfile {
@@ -28,6 +34,13 @@ impl TableProfile {
         for d in &mut self.key_dists {
             d.clear();
         }
+    }
+
+    /// Growth events of the estimator working buffers since construction.
+    /// Constant once the profile has served every table shape it will see —
+    /// the zero-allocation contract of the profiling layer.
+    pub fn grow_events(&self) -> u64 {
+        self.scratch.grow_events
     }
 }
 
@@ -61,15 +74,19 @@ pub trait BaseTableEstimator: Send + Sync {
                 .iter()
                 .map(|k| self.key_distribution(k, filter))
                 .collect(),
+            ..TableProfile::default()
         }
     }
 
     /// [`Self::profile`] into a caller-owned buffer, reusing its
-    /// allocations where possible. The default replaces the buffer with a
-    /// fresh [`Self::profile`]; allocation-conscious implementations
-    /// override this to refill `out` in place.
+    /// allocations where possible. The default moves a fresh
+    /// [`Self::profile`]'s results into `out` (keeping `out`'s working
+    /// buffers); allocation-conscious implementations override this to
+    /// refill `out` in place.
     fn profile_into(&self, filter: &FilterExpr, key_cols: &[&str], out: &mut TableProfile) {
-        *out = self.profile(filter, key_cols);
+        let fresh = self.profile(filter, key_cols);
+        out.rows = fresh.rows;
+        out.key_dists = fresh.key_dists;
     }
 
     /// Incorporates rows `first_new_row..` of the (already updated) table —
